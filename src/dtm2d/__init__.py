@@ -40,7 +40,6 @@ from .spectrum import (
     DtmError,
     Spectrum2D,
     as_coeff,
-    get_coeff,
     make_spectrum,
     spectrum_from_json,
     spectrum_to_json,
@@ -61,6 +60,7 @@ from .verify import (
     boundary_residual,
     compare_closed_form,
     eval2d,
+    eval_grid,
     spectrum_diff,
 )
 

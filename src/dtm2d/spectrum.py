@@ -20,7 +20,6 @@ __all__ = [
     "Spectrum2D",
     "as_coeff",
     "coeff_str",
-    "get_coeff",
     "make_spectrum",
     "spectrum_from_json",
     "spectrum_to_json",
@@ -146,11 +145,6 @@ def make_spectrum(
     return Spectrum2D(order, (_origin_coeff(origin[0]), _origin_coeff(origin[1])), table)
 
 
-def get_coeff(s: Spectrum2D, m: int, n: int) -> Fraction:
-    """Functional form of :meth:`Spectrum2D.get`."""
-    return s.get(m, n)
-
-
 def truncate(s: Spectrum2D, new_order: int) -> Spectrum2D:
     """Drop entries with m + n > new_order; kept entries are bit-identical."""
     if new_order < 0 or new_order > s.order:
@@ -173,12 +167,16 @@ def spectrum_to_json(s: Spectrum2D) -> dict:
 
 
 def spectrum_from_json(data: Mapping) -> Spectrum2D:
-    """Inverse of :func:`spectrum_to_json`."""
+    """Inverse of :func:`spectrum_to_json`.
+
+    A float origin reads back as its exact binary rational, the same rule
+    :class:`Spectrum2D` applies, so a spectrum built with a float origin
+    survives the round trip.
+    """
     try:
         order = int(data["order"])
         ox, oy = data.get("origin", [0, 0])
         triples = [(int(m), int(n), str(v)) for m, n, v in data["entries"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DtmError(f"malformed spectrum JSON: {exc}") from exc
-    origin = (Fraction(str(ox)), Fraction(str(oy)))
-    return make_spectrum(order, triples, origin)
+    return make_spectrum(order, triples, (ox, oy))

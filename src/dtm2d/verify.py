@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .rules import dt_derivative
 from .spectrum import DtmError, Spectrum2D
@@ -33,6 +33,7 @@ __all__ = [
     "boundary_residual",
     "compare_closed_form",
     "eval2d",
+    "eval_grid",
     "spectrum_diff",
 ]
 
@@ -85,34 +86,46 @@ class ReferenceSolution:
         return math.cos(x) * math.sinh(y)
 
 
-def eval2d(s: Spectrum2D, x: float, y: float) -> float:
-    """Evaluate the truncated double series at (x, y) in float arithmetic.
+def eval_grid(
+    s: Spectrum2D, xs: Sequence[float], ys: Sequence[float]
+) -> list[list[float]]:
+    """Evaluate the truncated double series on the tensor grid xs x ys.
 
-    Summation order is fixed: Horner over n within each row, then Horner
-    over m across rows, so repeated runs give bit-identical values.
+    Returns ``values`` with ``values[i][j]`` the series at ``(xs[i], ys[j])``.
+    The entries are projected to floats once.  For each y, every row m is
+    summed by Horner over n once; for each x, Horner over m then runs across
+    those row values.  This summation order is fixed, so every value is
+    bit-identical across runs, grid shapes and call sites.
     """
-    dx = x - float(s.origin[0])
-    dy = y - float(s.origin[1])
+    ox, oy = float(s.origin[0]), float(s.origin[1])
+    # rows from m = order down to 0, each with coefficients from high n to low
     rows: list[list[float]] = [
         [0.0] * (s.order - m + 1) for m in range(s.order + 1)
     ]
     for (m, n), c in s.entries.items():
-        rows[m][n] = float(c)
-    total = 0.0
-    for m in range(s.order, -1, -1):
-        row = 0.0
-        for coeff in reversed(rows[m]):
-            row = row * dy + coeff
-        total = total * dx + row
-    return total
+        rows[m][s.order - m - n] = float(c)
+    rows.reverse()
+    values: list[list[float]] = [[] for _ in xs]
+    for y in ys:
+        dy = y - oy
+        row_sums: list[float] = []
+        for coeffs in rows:
+            row = 0.0
+            for coeff in coeffs:
+                row = row * dy + coeff
+            row_sums.append(row)
+        for x, out in zip(xs, values):
+            dx = x - ox
+            total = 0.0
+            for row in row_sums:
+                total = total * dx + row
+            out.append(total)
+    return values
 
 
-_EDGE_POINTS = {
-    "x=0": lambda t: (0.0, t),
-    "x=pi": lambda t: (math.pi, t),
-    "y=0": lambda t: (t, 0.0),
-    "y=pi": lambda t: (t, math.pi),
-}
+def eval2d(s: Spectrum2D, x: float, y: float) -> float:
+    """Evaluate the truncated double series at (x, y); see :func:`eval_grid`."""
+    return eval_grid(s, (x,), (y,))[0][0]
 
 
 def boundary_residual(
@@ -121,28 +134,37 @@ def boundary_residual(
     """Per-edge max-abs deviation of the series from the boundary traces.
 
     Dirichlet edges compare the series itself; Neumann edges differentiate
-    the spectrum first (exact rule, no finite differencing) and compare the
-    coordinate derivative.  ``samples`` equally spaced points per edge,
-    endpoints included.
+    the spectrum first (exact rule, no finite differencing, at most once per
+    axis) and compare the coordinate derivative.  ``samples`` equally spaced
+    points per edge, endpoints included.
     """
     if samples < 2:
         raise DtmError(f"need at least 2 samples per edge, got {samples}")
     ts = [i * math.pi / (samples - 1) for i in range(samples)]
+    derivatives: dict[str, Spectrum2D] = {}
     out: dict[str, float] = {}
     for cond in bc.conditions:
+        axis, at = cond.edge.split("=")
+        level = 0.0 if at == "0" else math.pi
         if cond.kind == "dirichlet":
             series = s
-        elif s.order == 0:
-            series = Spectrum2D(0, s.origin, {})  # derivative of a constant
-        elif cond.edge.startswith("x"):
-            series = dt_derivative(s, 1, 0)
+        elif axis in derivatives:
+            series = derivatives[axis]
         else:
-            series = dt_derivative(s, 0, 1)
-        at = _EDGE_POINTS[cond.edge]
+            if s.order == 0:
+                series = Spectrum2D(0, s.origin, {})  # derivative of a constant
+            elif axis == "x":
+                series = dt_derivative(s, 1, 0)
+            else:
+                series = dt_derivative(s, 0, 1)
+            derivatives[axis] = series
+        if axis == "x":
+            values = eval_grid(series, (level,), ts)[0]
+        else:
+            values = [row[0] for row in eval_grid(series, ts, (level,))]
         worst = 0.0
-        for t in ts:
-            x, y = at(t)
-            worst = max(worst, abs(eval2d(series, x, y) - trace_value(cond.trace, t)))
+        for t, value in zip(ts, values):
+            worst = max(worst, abs(value - trace_value(cond.trace, t)))
         out[cond.edge] = worst
     return out
 
@@ -151,10 +173,11 @@ def compare_closed_form(
     s: Spectrum2D, ref: ReferenceSolution, grid: GridSpec
 ) -> float:
     """Max-abs error of the truncated series against the closed form."""
+    values = eval_grid(s, grid.x_points, grid.y_points)
     worst = 0.0
-    for x in grid.x_points:
-        for y in grid.y_points:
-            worst = max(worst, abs(eval2d(s, x, y) - ref(x, y)))
+    for x, row in zip(grid.x_points, values):
+        for y, value in zip(grid.y_points, row):
+            worst = max(worst, abs(value - ref(x, y)))
     return worst
 
 

@@ -4,12 +4,11 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dtm2d import (
     DtmError,
-    get_coeff,
     make_spectrum,
     spectrum_from_json,
     spectrum_to_json,
@@ -18,6 +17,8 @@ from dtm2d import (
 from dtm2d.spectrum import as_coeff, coeff_str
 
 from conftest import formula_example1, formula_example3, enumerate_spectrum, spectra, small_fractions
+
+float_origins = st.floats(min_value=-4, max_value=4).filter(lambda v: v != 0)
 
 
 class TestCoefficients:
@@ -75,16 +76,16 @@ class TestMakeSpectrum:
 class TestGetCoeff:
     def test_known_value_example1(self):
         s = enumerate_spectrum(formula_example1, 5)
-        assert get_coeff(s, 1, 2) == Fraction(-1, 2)
+        assert s.get(1, 2) == Fraction(-1, 2)
 
     def test_out_of_triangle_reads_zero(self):
         s = make_spectrum(2, [(1, 0, 1)])
-        assert get_coeff(s, 3, 0) == 0
-        assert get_coeff(s, 0, 7) == 0
+        assert s.get(3, 0) == 0
+        assert s.get(0, 7) == 0
 
     def test_known_value_example3(self):
         s = enumerate_spectrum(formula_example3, 4)
-        assert get_coeff(s, 2, 2) == -4
+        assert s.get(2, 2) == -4
 
 
 class TestTruncate:
@@ -155,8 +156,10 @@ class TestSerialization:
         s = enumerate_spectrum(formula_example3, 6)
         assert spectrum_from_json(spectrum_to_json(s)) == s
 
-    @given(spectra())
-    def test_round_trip_property(self, s):
+    @given(spectra(), st.tuples(float_origins, float_origins))
+    @example(make_spectrum(2, [(0, 0, 1)]), (0.1, 0.7))
+    def test_round_trip_property(self, s, origin):
+        s = make_spectrum(s.order, [(m, n, c) for (m, n), c in s.entries.items()], origin)
         blob = json.dumps(spectrum_to_json(s))
         assert spectrum_from_json(json.loads(blob)) == s
 

@@ -18,6 +18,7 @@ from dtm2d import (
     compare_closed_form,
     dt_derivative,
     eval2d,
+    eval_grid,
     make_spectrum,
     model_catalog,
     outer_product,
@@ -64,6 +65,59 @@ class TestEval2d:
         assert a == b
 
 
+def horner_point(s, x, y):
+    """Per-point reference: Horner over n within each row, then over m."""
+    dx = x - float(s.origin[0])
+    dy = y - float(s.origin[1])
+    rows = [[0.0] * (s.order - m + 1) for m in range(s.order + 1)]
+    for (m, n), c in s.entries.items():
+        rows[m][n] = float(c)
+    total = 0.0
+    for m in range(s.order, -1, -1):
+        row = 0.0
+        for coeff in reversed(rows[m]):
+            row = row * dy + coeff
+        total = total * dx + row
+    return total
+
+
+nonzero_origins = st.fractions(
+    min_value=Fraction(-3), max_value=Fraction(3), max_denominator=12
+).filter(lambda f: f != 0)
+
+
+@st.composite
+def half_zero_spectra(draw):
+    """Orders 0..25, nonzero rational origin, about half the entries zero."""
+    order = draw(st.integers(0, 25))
+    rng = draw(st.randoms(use_true_random=False))
+    entries = [
+        (m, n, Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)))
+        for m in range(order + 1)
+        for n in range(order + 1 - m)
+        if rng.random() < 0.5
+    ]
+    return make_spectrum(order, entries, (draw(nonzero_origins), draw(nonzero_origins)))
+
+
+class TestEvalGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_per_point_horner(self, data):
+        s = data.draw(half_zero_spectra())
+        points = st.lists(st.floats(0.0, math.pi), max_size=4)
+        xs = data.draw(st.permutations([0.0, math.pi] + data.draw(points)))
+        ys = data.draw(st.permutations([0.0, math.pi] + data.draw(points)))
+        values = eval_grid(s, xs, ys)
+        assert len(values) == len(xs)
+        for x, row in zip(xs, values):
+            assert len(row) == len(ys)
+            for y, value in zip(ys, row):
+                expected = horner_point(s, x, y)
+                assert value == expected
+                assert math.copysign(1.0, value) == math.copysign(1.0, expected)
+
+
 class TestBoundaryResidual:
     def test_structural_zero_edge_example4(self):
         report = solve_example(4, 30)
@@ -84,6 +138,24 @@ class TestBoundaryResidual:
         ))
         res = boundary_residual(make_spectrum(6), bc, 11)
         assert all(v == 0.0 for v in res.values())
+
+    def test_neumann_edges_differentiate_once_per_axis(self, monkeypatch):
+        import dtm2d.verify
+
+        real = dtm2d.verify.dt_derivative
+        calls = []
+
+        def counting(s, r, q):
+            calls.append((r, q))
+            return real(s, r, q)
+
+        bc = model_catalog()["example3"].bc
+        assert all(c.kind == "neumann" for c in bc.conditions)
+        spectrum = solve_example(3, 20).spectrum
+        monkeypatch.setattr(dtm2d.verify, "dt_derivative", counting)
+        res = boundary_residual(spectrum, bc, 11)
+        assert sorted(calls) == [(0, 1), (1, 0)]
+        assert sorted(res) == ["x=0", "x=pi", "y=0", "y=pi"]
 
     def test_samples_validation(self):
         bc = model_catalog()["example1"].bc
