@@ -39,11 +39,13 @@ def dt_add(u: Spectrum2D, v: Spectrum2D) -> Spectrum2D:
     _check_compatible(u, v)
     table = dict(u.entries)
     for key, value in v.entries.items():
-        total = table.get(key, Fraction(0)) + value
-        if total == 0:
-            table.pop(key, None)
+        prev = table.get(key)
+        if prev is None:
+            table[key] = value
+        elif prev == -value:
+            del table[key]
         else:
-            table[key] = total
+            table[key] = prev + value
     return Spectrum2D(u.order, u.origin, table)
 
 
@@ -97,12 +99,7 @@ def dt_derivative(v: Spectrum2D, r: int, s: int) -> Spectrum2D:
     for (m, n), c in v.entries.items():
         if m < r or n < s:
             continue
-        mm, nn = m - r, n - s
-        factor = Fraction(
-            math.factorial(mm + r) * math.factorial(nn + s),
-            math.factorial(mm) * math.factorial(nn),
-        )
-        table[(mm, nn)] = factor * c
+        table[(m - r, n - s)] = math.perm(m, r) * math.perm(n, s) * c
     return Spectrum2D(new_order, v.origin, table)
 
 

@@ -170,20 +170,14 @@ def propagate(seed: CauchySeed) -> Spectrum2D:
     return _transpose(result) if seed.axis == MARCH_IN_M else result
 
 
-def _even_transfer(m: int, k: int) -> Fraction:
+def _even_transfer(m: int, k: int) -> int:
     """Seed-to-entry factor: U(m, 2k) = _even_transfer(m, k) * layer0[m + 2k]."""
-    return Fraction(
-        (-1) ** k * math.factorial(m + 2 * k),
-        math.factorial(m) * math.factorial(2 * k),
-    )
+    return (-1) ** k * math.comb(m + 2 * k, m)
 
 
 def _odd_transfer(m: int, k: int) -> Fraction:
     """U(m, 2k+1) = _odd_transfer(m, k) * layer1[m + 2k]."""
-    return Fraction(
-        (-1) ** k * math.factorial(m + 2 * k),
-        math.factorial(m) * math.factorial(2 * k + 1),
-    )
+    return Fraction(_even_transfer(m, k), 2 * k + 1)
 
 
 def propagate_closed_form(seed: CauchySeed, m: int, n: int) -> Fraction:
@@ -231,23 +225,23 @@ def _layer_match_terms(m: int, layer_index: int, closure_kind: str, order: int):
 
     Yields (j, rational coefficient, pi power) per spectrum entry involved:
     Dirichlet matches sum_n U(m, n) pi**n, Neumann sum_n n U(m, n) pi**(n-1).
+    The even transfer factor e = (-1)**k C(m+2k, 2k) is stepped along k by
+    the march recurrence as an exact integer; the odd one is e / (2k+1).
     """
+    e = 1
     k = 0
-    while True:
+    while m + 2 * k + layer_index <= order:
         j = m + 2 * k
-        n = 2 * k + layer_index
-        if m + n > order:
-            return
         if layer_index == 0:
             if closure_kind == "dirichlet":
-                yield j, _even_transfer(m, k), 2 * k
+                yield j, e, 2 * k
             elif k >= 1:
-                yield j, 2 * k * _even_transfer(m, k), 2 * k - 1
+                yield j, 2 * k * e, 2 * k - 1
+        elif closure_kind == "dirichlet":
+            yield j, Fraction(e, 2 * k + 1), 2 * k + 1
         else:
-            if closure_kind == "dirichlet":
-                yield j, _odd_transfer(m, k), 2 * k + 1
-            else:
-                yield j, (2 * k + 1) * _odd_transfer(m, k), 2 * k
+            yield j, e, 2 * k
+        e = -e * (j + 1) * (j + 2) // ((2 * k + 1) * (2 * k + 2))
         k += 1
 
 
@@ -268,18 +262,20 @@ def _match_residual(
     order: int,
 ) -> float:
     """Max-abs float mismatch of the per-degree closure match, all degrees."""
-    pi = math.pi
+    pi_powers = [math.pi**p for p in range(order + 1)]
     layer0 = list(layer0)
     layer1 = list(layer1)
+    float0 = [float(c) for c in layer0]
+    float1 = [float(c) for c in layer1]
     worst = 0.0
     for m in range(order + 1):
         lhs = 0.0
         for j, coef, power in _layer_match_terms(m, 0, closure_kind, order):
             if layer0[j]:
-                lhs += float(coef) * pi**power * float(layer0[j])
+                lhs += float(coef) * pi_powers[power] * float0[j]
         for j, coef, power in _layer_match_terms(m, 1, closure_kind, order):
             if layer1[j]:
-                lhs += float(coef) * pi**power * float(layer1[j])
+                lhs += float(coef) * pi_powers[power] * float1[j]
         rhs = sum(float(q[m]) * sym_amp_value(token) for q, token in targets)
         worst = max(worst, abs(lhs - rhs))
     return worst
@@ -294,15 +290,18 @@ def _infer_exact(known, known_index, closure_kind, targets, order):
     known layer never enters these equations.
     """
     unknown_index = 1 - known_index
+    series = [
+        (q, [sym_amp_series_coeff(token, p) for p in range(order + 1)])
+        for q, token in targets
+    ]
     values: list[Optional[Fraction]] = [None] * (order + 1)
     inconsistency = 0.0
     for m in range(order, -1, -1):
         for j, coef, power in _layer_match_terms(m, unknown_index, closure_kind, order):
             rhs = Fraction(0)
-            for q, token in targets:
-                s = sym_amp_series_coeff(token, power)
-                if s != 0:
-                    rhs += q[m] * s
+            for q, s in series:
+                if s[power] != 0:
+                    rhs += q[m] * s[power]
             if values[j] is None:
                 values[j] = rhs / coef
             elif coef * values[j] != rhs:

@@ -155,11 +155,17 @@ def truncate(s: Spectrum2D, new_order: int) -> Spectrum2D:
     return Spectrum2D(new_order, s.origin, kept)
 
 
+def _origin_json(value: Fraction) -> Union[float, str]:
+    """A float when one represents the origin exactly, else a "p/q" string."""
+    as_float = float(value)
+    return as_float if Fraction(as_float) == value else coeff_str(value)
+
+
 def spectrum_to_json(s: Spectrum2D) -> dict:
     """JSON-ready dict with entries sorted by (m, n) and exact "p/q" strings."""
     return {
         "order": s.order,
-        "origin": [float(s.origin[0]), float(s.origin[1])],
+        "origin": [_origin_json(s.origin[0]), _origin_json(s.origin[1])],
         "entries": [
             [m, n, coeff_str(v)] for (m, n), v in sorted(s.entries.items())
         ],
@@ -169,9 +175,9 @@ def spectrum_to_json(s: Spectrum2D) -> dict:
 def spectrum_from_json(data: Mapping) -> Spectrum2D:
     """Inverse of :func:`spectrum_to_json`.
 
-    A float origin reads back as its exact binary rational, the same rule
-    :class:`Spectrum2D` applies, so a spectrum built with a float origin
-    survives the round trip.
+    An origin coordinate is a float, read back as its exact binary rational
+    (the rule :class:`Spectrum2D` applies), or a "p/q" string for a rational
+    no float represents; either way the origin survives the round trip.
     """
     try:
         order = int(data["order"])

@@ -1,6 +1,7 @@
 """Recurrence propagation, closed-form transfer, seed inference, models."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from dtm2d import (
     infer_missing_seed,
     make_spectrum,
     model_catalog,
+    outer_product,
     propagate,
     propagate_closed_form,
     residual_laplacian,
@@ -29,6 +31,14 @@ from dtm2d import (
     spectrum_diff,
     taylor_coeffs,
 )
+from dtm2d.solver import (
+    BC_KINDS,
+    _even_transfer,
+    _layer_match_terms,
+    _match_residual,
+    _odd_transfer,
+)
+from dtm2d.taylor import SYM_AMPS, sym_amp_value
 
 from conftest import (
     MODEL_FORMULAS,
@@ -53,6 +63,14 @@ def seed_layers(formula, order, axis):
         layer1 = [formula(1, n) if n + 1 <= order else Fraction(0) for n in range(order + 1)]
     return tuple(layer0), tuple(layer1)
 
+
+# Closed forms of the catalog models as F(x) G(y): (kind, arg_scale) per factor.
+CLOSED_FORMS = {
+    "example1": (("sinh", 1), ("cos", 1)),
+    "example2": (("cosh", 1), ("sin", 1)),
+    "example3": (("cos", 2), ("cosh", 2)),
+    "example4": (("cos", 1), ("sinh", 1)),
+}
 
 MODEL_AXES = {
     "example1": MARCH_IN_N,
@@ -196,6 +214,83 @@ class TestClosedForm:
         for m in range(seed.order + 1):
             for n in range(seed.order + 1 - m):
                 assert propagate_closed_form(seed, m, n) == s.get(m, n)
+
+
+def _transfer_match_terms(m, layer_index, closure_kind, order):
+    """Closure-match terms with every factor taken from the transfer definitions."""
+    k = 0
+    while m + 2 * k + layer_index <= order:
+        j = m + 2 * k
+        if layer_index == 0:
+            if closure_kind == "dirichlet":
+                yield j, _even_transfer(m, k), 2 * k
+            elif k >= 1:
+                yield j, 2 * k * _even_transfer(m, k), 2 * k - 1
+        elif closure_kind == "dirichlet":
+            yield j, _odd_transfer(m, k), 2 * k + 1
+        else:
+            yield j, (2 * k + 1) * _odd_transfer(m, k), 2 * k
+        k += 1
+
+
+def _per_term_match_residual(layer0, layer1, closure_kind, targets, order):
+    """Closure-match residual converting every factor, pi power and entry per term."""
+    pi = math.pi
+    worst = 0.0
+    for m in range(order + 1):
+        lhs = 0.0
+        for j, coef, power in _transfer_match_terms(m, 0, closure_kind, order):
+            if layer0[j]:
+                lhs += float(coef) * pi**power * float(layer0[j])
+        for j, coef, power in _transfer_match_terms(m, 1, closure_kind, order):
+            if layer1[j]:
+                lhs += float(coef) * pi**power * float(layer1[j])
+        rhs = sum(float(q[m]) * sym_amp_value(token) for q, token in targets)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+class TestClosureMatch:
+    def test_transfer_factors_match_factorial_definitions(self):
+        for m in range(40):
+            for k in range(20):
+                sign = (-1) ** k
+                assert _even_transfer(m, k) == Fraction(
+                    sign * fact(m + 2 * k), fact(m) * fact(2 * k)
+                )
+                assert _odd_transfer(m, k) == Fraction(
+                    sign * fact(m + 2 * k), fact(m) * fact(2 * k + 1)
+                )
+
+    def test_stepped_factors_match_transfer_definitions(self):
+        for order in range(81):
+            for m in range(order + 1):
+                for layer_index in (0, 1):
+                    for kind in BC_KINDS:
+                        stepped = list(_layer_match_terms(m, layer_index, kind, order))
+                        assert stepped == list(
+                            _transfer_match_terms(m, layer_index, kind, order)
+                        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_match_residual_bit_identical_to_per_term(self, data):
+        order = data.draw(st.integers(0, 30))
+        kind = data.draw(st.sampled_from(BC_KINDS))
+        decay = data.draw(st.booleans())  # Taylor-like entries c / j!
+        entry = st.one_of(st.just(Fraction(0)), small_fractions)
+
+        def layer():
+            values = data.draw(st.lists(entry, min_size=order + 1, max_size=order + 1))
+            return [v / fact(j) if decay else v for j, v in enumerate(values)]
+
+        layer0, layer1 = layer(), layer()
+        targets = [
+            (layer(), data.draw(st.sampled_from(SYM_AMPS)))
+            for _ in range(data.draw(st.integers(0, 3)))
+        ]
+        got = _match_residual(layer0, layer1, kind, targets, order)
+        assert got == _per_term_match_residual(layer0, layer1, kind, targets, order)
 
 
 class TestResidualLaplacian:
@@ -343,6 +438,30 @@ class TestSolveModel:
         report = solve_example(model_id, order)
         expected = enumerate_spectrum(MODEL_FORMULAS[model_id], order)
         assert spectrum_diff(report.spectrum, expected) == (Fraction(0), [])
+
+    @pytest.mark.parametrize("model_id,c", [
+        ("example1", Fraction(3, 7)),
+        ("example2", Fraction(-5, 2)),
+        ("example3", Fraction(7, 11)),
+        ("example4", Fraction(-12, 5)),
+    ])
+    def test_scaled_catalog_exact_at_high_order(self, model_id, c):
+        # the closed form c * F(x) G(y) gives the spectrum as an outer product
+        model = model_catalog()[model_id]
+        bc = BoundarySpec(tuple(
+            replace(cond, trace=replace(cond.trace, amplitude=cond.trace.amplitude * c))
+            for cond in model.bc.conditions
+        ))
+        (fx, sx), (gy, sy) = CLOSED_FORMS[model_id]
+        for order in (60, 100, 140):
+            report = solve_model(
+                bc, order, model_id=model_id, origin_value=model.origin_value * c,
+                boundary_samples=2,
+            )
+            f = taylor_coeffs(FuncSpec(kind=fx, arg_scale=sx, amplitude=c), order)
+            g = taylor_coeffs(FuncSpec(kind=gy, arg_scale=sy), order)
+            assert report.spectrum == outer_product(f, g, order)
+            assert report.inference_method == "exact"
 
     def test_int_alias(self):
         assert solve_example(2, 6).model == "example2"
