@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -20,13 +20,14 @@ from .solver import (
     EDGES,
     EdgeCondition,
     InferenceError,
+    Model,
     ModelReport,
     model_catalog,
     solve_model,
 )
 from .spectrum import DtmError, coeff_str, spectrum_to_json
 from .taylor import funcspec_from_json
-from .verify import GridSpec, REFERENCE_FORMS
+from .verify import GridSpec, ReferenceSolution
 
 # Residual thresholds for the pass/fail exit status.  The pde residual must
 # vanish identically; boundary and closed-form errors get head-room over the
@@ -49,14 +50,15 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation: model, order, output and verification grid."""
+    """Fully resolved invocation: model, order, output and verification grid.
+
+    ``custom`` is the model named "custom"; catalog models are looked up.
+    """
 
     model: str
     order: int
     command: str = "solve"  # "solve" or "spectrum"
-    custom_bc: Optional[BoundarySpec] = None
-    reference: Optional[str] = None
-    origin_value: Fraction = field(default_factory=lambda: Fraction(0))
+    custom: Optional[Model] = None
     output_format: str = "pretty"
     grid: int = 21
     emit_spectrum: bool = False
@@ -64,7 +66,7 @@ class RunConfig:
     out_path: Optional[Path] = None
 
     def __post_init__(self) -> None:
-        if self.model == "custom" and self.custom_bc is None:
+        if self.model == "custom" and self.custom is None:
             raise ConfigError("custom model requires boundary conditions ('bc')")
         if self.output_format not in FORMATS:
             raise ConfigError(
@@ -80,10 +82,6 @@ class RunConfig:
                 raise ConfigError(
                     f"convergence orders must be strictly increasing, got {list(orders)}"
                 )
-        if self.reference is not None and self.reference not in REFERENCE_FORMS:
-            raise ConfigError(
-                f"unknown reference {self.reference!r}; choose from {REFERENCE_FORMS}"
-            )
 
 
 def _parse_bc(data: dict) -> BoundarySpec:
@@ -146,22 +144,19 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("no model: pass --example 1..4 or a config with 'model'")
 
     catalog = model_catalog()
-    custom_bc = None
-    reference = None
-    origin_value = Fraction(0)
+    custom = None
     if model == "custom":
         if "bc" not in file_cfg:
             raise ConfigError("custom model requires a 'bc' object in the config")
-        custom_bc = _parse_bc(file_cfg["bc"])
         reference = file_cfg.get("reference")
+        if reference is not None:
+            ReferenceSolution(reference)  # fails early on a descriptor it cannot parse
         try:
             origin_value = Fraction(str(file_cfg.get("origin_value", 0)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad origin_value: {exc}") from exc
-    elif model in catalog:
-        reference = catalog[model].reference
-        origin_value = catalog[model].origin_value
-    else:
+        custom = Model("custom", _parse_bc(file_cfg["bc"]), reference, 36, origin_value)
+    elif model not in catalog:
         known = sorted(catalog) + ["custom"]
         raise ConfigError(f"unknown model {model!r}; choose from {known}")
 
@@ -169,7 +164,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     if order is None:
         order = file_cfg.get("order")
     if order is None:
-        order = catalog[model].default_order if model in catalog else 36
+        order = (custom or catalog[model]).default_order
 
     fmt = getattr(args, "format", None) or file_cfg.get("format", "pretty")
     grid = (
@@ -191,9 +186,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         model=model,
         order=int(order),
         command=getattr(args, "command", "solve"),
-        custom_bc=custom_bc,
-        reference=reference,
-        origin_value=origin_value,
+        custom=custom,
         output_format=fmt,
         grid=grid,
         emit_spectrum=emit,
@@ -203,16 +196,13 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _solve(config: RunConfig, order: int) -> ModelReport:
-    if config.custom_bc is not None:
-        bc = config.custom_bc
-    else:
-        bc = model_catalog()[config.model].bc
+    model = config.custom or model_catalog()[config.model]
     return solve_model(
-        bc,
+        model.bc,
         order,
         model_id=config.model,
-        origin_value=config.origin_value,
-        reference=config.reference,
+        origin_value=model.origin_value,
+        reference=model.reference,
         grid=GridSpec.uniform(config.grid),
         boundary_samples=41,
     )
@@ -259,19 +249,14 @@ def _spectrum_csv(report: ModelReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _convergence_rows(config: RunConfig) -> list[dict]:
-    rows = []
-    for order in config.convergence_orders or ():
-        rep = _solve(config, order)
-        rows.append(
-            {
-                "order": order,
-                "edges": {e: rep.boundary_residuals[e] for e in sorted(rep.boundary_residuals)},
-                "closed_form_max_err": rep.closed_form_error,
-                "passed": _checks_pass(rep),
-            }
-        )
-    return rows
+def _row(report: ModelReport) -> dict:
+    """One order's residuals: a row of the convergence table."""
+    return {
+        "order": report.order,
+        "edges": {e: report.boundary_residuals[e] for e in sorted(report.boundary_residuals)},
+        "closed_form_max_err": report.closed_form_error,
+        "passed": _checks_pass(report),
+    }
 
 
 def _convergence_csv(rows: list[dict]) -> str:
@@ -318,7 +303,7 @@ def _pretty(report: ModelReport, config: RunConfig, rows: list[dict]) -> str:
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one resolved config; returns (exit status, report text)."""
     report = _solve(config, config.order)
-    rows = _convergence_rows(config) if config.convergence_orders else []
+    rows = [_row(_solve(config, order)) for order in config.convergence_orders or ()]
 
     if config.command == "spectrum":
         if config.output_format == "csv":
@@ -341,17 +326,7 @@ def run(config: RunConfig) -> tuple[int, str]:
             payload["convergence"] = rows
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif config.output_format == "csv":
-        if rows:
-            text = _convergence_csv(rows)
-        else:
-            single = [
-                {
-                    "order": report.order,
-                    "edges": report.boundary_residuals,
-                    "closed_form_max_err": report.closed_form_error,
-                }
-            ]
-            text = _convergence_csv(single)
+        text = _convergence_csv(rows or [_row(report)])
     else:
         text = _pretty(report, config, rows)
     return (0 if passed else 2), text
@@ -361,16 +336,8 @@ def _run_verify(fmt: str) -> tuple[int, str]:
     """Solve all four built-in models at their default orders and check them."""
     lines = []
     results = []
-    for model_id in sorted(model_catalog()):
-        model = model_catalog()[model_id]
-        config = RunConfig(
-            model=model_id,
-            order=model.default_order,
-            reference=model.reference,
-            origin_value=model.origin_value,
-            output_format="pretty",
-        )
-        report = _solve(config, config.order)
+    for model_id, model in sorted(model_catalog().items()):
+        report = _solve(RunConfig(model=model_id, order=model.default_order), model.default_order)
         ok = _checks_pass(report)
         results.append(
             {

@@ -13,15 +13,16 @@ from the boundary condition on the opposite edge.  Inference has two routes:
   the opposite pi-parity from the known layer's, so the unknown block is an
   exact triangular system over the rationals.  Redundant equations are
   checked exactly; leftover indices (e.g. the additive constant of an
-  all-Neumann problem) are reported as undetermined.
+  all-Neumann problem) are reported as undetermined.  Amplitude tokens
+  enter as their own series in pi.
 * a float route that collapses the pi powers numerically and back-substitutes
   per degree, then snaps the solved layer to nearby small rationals.  This is
   only well-conditioned when the closure trace carries no transcendental
   amplitude; the exact route covers those cases.
 
 Both routes report the max-abs per-degree mismatch of the closure match as a
-residual; solve_model runs the inference at an elevated working order so the
-closure series are resolved well below the residual tolerances.
+residual; solve_model runs the inference at a working order derived from the
+data's argument scales, which resolves the closure series well below them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterable, Optional
 
 from .rules import dt_add, dt_derivative
 from .spectrum import CoeffLike, DtmError, Spectrum2D, as_coeff, truncate
-from .taylor import FuncSpec, sym_amp_series_coeff, sym_amp_value, taylor_coeffs
+from .taylor import FuncSpec, taylor_coeffs, trace_value
 
 EDGES = ("x=0", "x=pi", "y=0", "y=pi")
 BC_KINDS = ("dirichlet", "neumann")
@@ -42,9 +43,10 @@ BC_KINDS = ("dirichlet", "neumann")
 MARCH_IN_N = "march-in-n"  # seed rows n = 0, 1; closure edge y = pi
 MARCH_IN_M = "march-in-m"  # seed columns m = 0, 1; closure edge x = pi
 
-# Working order floor for solve_model's seed inference: the catalog closure
+# Working order floor for solve_model's seed inference.  The catalog closure
 # series have argument scales up to 2, and (2*pi)**45 / 45! ~ 7e-21 keeps the
-# per-degree residual far below the warning threshold.
+# per-degree residual far below the warning threshold; larger scales c raise
+# the working order until (c*pi)**(W+1) / (W+1)! is as small (_working_order).
 MIN_WORKING_ORDER = 44
 
 RESIDUAL_ERROR = 1e-6
@@ -245,12 +247,19 @@ def _layer_match_terms(m: int, layer_index: int, closure_kind: str, order: int):
         k += 1
 
 
+_ONE = FuncSpec(kind="polynomial", poly_coeffs=(1,))  # the token of a term without one
+
+
 def _closure_targets(trace: FuncSpec, order: int):
-    """Per-term exact trace coefficients with their amplitude tokens."""
+    """Per-term (exact coefficients, token pi-series, token float value)."""
     parts = []
     for term in trace.flat_terms():
-        rational = replace(term, sym_amp="none")
-        parts.append((taylor_coeffs(rational, order), term.sym_amp))
+        token = term.sym_amp or _ONE
+        parts.append((
+            taylor_coeffs(replace(term, sym_amp=None), order),
+            taylor_coeffs(token, order),
+            trace_value(token, math.pi),
+        ))
     return parts
 
 
@@ -260,25 +269,35 @@ def _match_residual(
     closure_kind: str,
     targets,
     order: int,
-) -> float:
-    """Max-abs float mismatch of the per-degree closure match, all degrees."""
+) -> tuple[float, float]:
+    """Max-abs float mismatch of the per-degree closure match, all degrees,
+    and a bound on its rounding: per degree, 2**-53 * (order + len(targets) +
+    8) times the sum of the terms' magnitudes (at most order + len(targets) + 2
+    terms of at most five roundings each; Higham, ch. 3)."""
     pi_powers = [math.pi**p for p in range(order + 1)]
     layer0 = list(layer0)
     layer1 = list(layer1)
     float0 = [float(c) for c in layer0]
     float1 = [float(c) for c in layer1]
-    worst = 0.0
+    unit = (order + len(targets) + 8) * 2.0**-53
+    worst = bound = 0.0
     for m in range(order + 1):
-        lhs = 0.0
+        lhs = size = 0.0
         for j, coef, power in _layer_match_terms(m, 0, closure_kind, order):
             if layer0[j]:
-                lhs += float(coef) * pi_powers[power] * float0[j]
+                term = float(coef) * pi_powers[power] * float0[j]
+                lhs += term
+                size += abs(term)
         for j, coef, power in _layer_match_terms(m, 1, closure_kind, order):
             if layer1[j]:
-                lhs += float(coef) * pi_powers[power] * float1[j]
-        rhs = sum(float(q[m]) * sym_amp_value(token) for q, token in targets)
+                term = float(coef) * pi_powers[power] * float1[j]
+                lhs += term
+                size += abs(term)
+        parts = [float(q[m]) * value for q, _, value in targets]
+        rhs = sum(parts)
         worst = max(worst, abs(lhs - rhs))
-    return worst
+        bound = max(bound, unit * (size + sum(map(abs, parts))))
+    return worst, bound
 
 
 def _infer_exact(known, known_index, closure_kind, targets, order):
@@ -290,16 +309,12 @@ def _infer_exact(known, known_index, closure_kind, targets, order):
     known layer never enters these equations.
     """
     unknown_index = 1 - known_index
-    series = [
-        (q, [sym_amp_series_coeff(token, p) for p in range(order + 1)])
-        for q, token in targets
-    ]
     values: list[Optional[Fraction]] = [None] * (order + 1)
     inconsistency = 0.0
     for m in range(order, -1, -1):
         for j, coef, power in _layer_match_terms(m, unknown_index, closure_kind, order):
             rhs = Fraction(0)
-            for q, s in series:
+            for q, s, _ in targets:
                 if s[power] != 0:
                     rhs += q[m] * s[power]
             if values[j] is None:
@@ -327,7 +342,7 @@ def _infer_float(known, known_index, closure_kind, targets, order, denom_bound):
     unknown_index = 1 - known_index
     known_f = [float(c) for c in known]
     target_f = [
-        sum(float(q[m]) * sym_amp_value(token) for q, token in targets)
+        sum(float(q[m]) * value for q, _, value in targets)
         for m in range(order + 1)
     ]
     raw: list[Optional[float]] = [None] * (order + 1)
@@ -387,15 +402,18 @@ def infer_missing_seed(
     targets = _closure_targets(closure_edge.trace, order)
     kind = closure_edge.kind
 
-    def measure(coeffs) -> float:
+    def measure(coeffs) -> tuple[float, float]:
         pair = (coeffs, known) if known_layer_index == 1 else (known, coeffs)
         return _match_residual(pair[0], pair[1], kind, targets, order)
 
-    def finish(coeffs, used, residual, undetermined, pre_snap=None) -> InferredLayer:
-        if residual > RESIDUAL_ERROR:
+    def finish(coeffs, used, measured, undetermined, pre_snap=None) -> InferredLayer:
+        residual, rounding = measured
+        # A residual within its own rounding bound shows no inconsistency.
+        if residual > RESIDUAL_ERROR and residual > rounding:
             raise InferenceError(
                 f"closure condition on {closure_edge.edge} inconsistent: "
                 f"per-degree residual {residual:.3e} exceeds {RESIDUAL_ERROR:.0e} "
+                f"and its float rounding bound "
                 f"(method={used}, order={order}); raise the order or fix the data"
             )
         warning = None
@@ -417,19 +435,19 @@ def infer_missing_seed(
                 )
             return finish(coeffs, "exact", measure(coeffs), undetermined)
         if inconsistency == 0.0:
-            residual = measure(coeffs)
-            if residual <= RESIDUAL_WARN:
-                return finish(coeffs, "exact", residual, undetermined)
-            exact_result = (coeffs, residual, undetermined)
+            measured = measure(coeffs)
+            if measured[0] <= RESIDUAL_WARN:
+                return finish(coeffs, "exact", measured, undetermined)
+            exact_result = (coeffs, measured, undetermined)
 
     coeffs, undetermined, pre_snap = _infer_float(
         known, known_layer_index, kind, targets, order, snap_denom
     )
-    residual = measure(coeffs)
-    if exact_result is not None and exact_result[1] < residual:
-        coeffs, residual, undetermined = exact_result
-        return finish(coeffs, "exact", residual, undetermined)
-    return finish(coeffs, "float", residual, undetermined, pre_snap)
+    measured = measure(coeffs)
+    if exact_result is not None and exact_result[1][0] < measured[0]:
+        coeffs, measured, undetermined = exact_result
+        return finish(coeffs, "exact", measured, undetermined)
+    return finish(coeffs, "float", measured, undetermined, pre_snap)
 
 
 # --------------------------------------------------------------------------
@@ -479,6 +497,26 @@ def _choose_axis(bc: BoundarySpec) -> str:
     return MARCH_IN_M
 
 
+def _working_order(bc: BoundarySpec, order: int) -> int:
+    """Least W >= max(order, MIN_WORKING_ORDER) whose tail at the largest
+    argument scale c of any term or token, (c*pi)**(W+1) / (W+1)!, is at most
+    the catalog's (2*pi)**45 / 45!; scales up to 2 meet that at the floor."""
+
+    def log_tail(scale, w):
+        return (w + 1) * math.log(scale * math.pi) - math.lgamma(w + 2)
+
+    c = max(
+        abs(spec.arg_scale)
+        for cond in bc.conditions
+        for term in cond.trace.flat_terms()
+        for spec in (term, term.sym_amp or term)
+    )
+    working = max(order, MIN_WORKING_ORDER)
+    while c > 2 and log_tail(c, working) > log_tail(2, MIN_WORKING_ORDER):
+        working += 1
+    return working
+
+
 def solve_model(
     bc: BoundarySpec,
     order: int,
@@ -497,8 +535,11 @@ def solve_model(
     the opposite edge closes the problem through :func:`infer_missing_seed`.
     ``origin_value`` pins u at the expansion origin when the closure leaves
     that entry undetermined (the additive constant of all-Neumann data).
-    Inference runs at a working order of at least MIN_WORKING_ORDER so that
-    closure series are resolved; the result is truncated back to ``order``.
+    The first-order entry it leaves undetermined, U(1, 0) or U(0, 1), is the
+    constant term of the Neumann trace on the edge through the origin across
+    the marching axis; without one it stays 0 and the warning says so.
+    Inference runs at :func:`_working_order` so that closure series are
+    resolved; the result is truncated back to ``order``.
     """
     from . import verify  # local import: verify depends on solver types
 
@@ -510,7 +551,7 @@ def solve_model(
     seed_cond = bc.on(seed_edge)
     known_index = 0 if seed_cond.kind == "dirichlet" else 1
 
-    working = max(order, MIN_WORKING_ORDER)
+    working = _working_order(bc, order)
     try:
         known = taylor_coeffs(seed_cond.trace, working)
     except DtmError as exc:
@@ -537,6 +578,17 @@ def solve_model(
                 "origin_value can only pin an entry the closure left "
                 "undetermined (all-Neumann data with an unknown layer0)"
             )
+    warning = inferred.warning
+    if known_index == 1 and 1 in inferred.undetermined:
+        # A Neumann closure never sees the first-order entry at the origin.
+        cross = bc.on("x=0" if axis == MARCH_IN_N else "y=0")
+        exact = all(t.sym_amp is None for t in cross.trace.flat_terms())
+        if cross.kind == "neumann" and exact:
+            unknown[1] = taylor_coeffs(cross.trace, 0)[0]
+        else:
+            entry = "U(1,0)" if axis == MARCH_IN_N else "U(0,1)"
+            note = f"{entry} set to 0: {cross.edge} has no exact Neumann trace"
+            warning = note if warning is None else f"{warning}; {note}"
 
     layers = (known, unknown) if known_index == 0 else (unknown, known)
     seed = CauchySeed(axis, working, tuple(layers[0]), tuple(layers[1]))
@@ -562,7 +614,7 @@ def solve_model(
         closed_form_error=closed_form,
         inference_method=inferred.method,
         inference_residual=inferred.residual,
-        warning=inferred.warning,
+        warning=warning,
         working_order=working,
         size=len(spectrum.entries),
     )

@@ -2,88 +2,55 @@
 
 A trace is a closed-form function of one variable built from a small library
 (sin, cos, sinh, cosh, exp, polynomials, zero), an exact rational argument
-scale and amplitude, an optional symbolic amplitude token for the handful of
-transcendental constants that occur in boundary data (sinh(pi) and friends),
-and optional summation of such terms.  Exact coefficients never absorb the
-tokens; the float layer resolves them.
+scale and amplitude, an optional symbolic amplitude token for the
+transcendental constants of boundary data (sinh(pi) and friends), and
+optional summation of such terms.  A token is itself a trace taken at t = pi,
+so exact inference expands it as ``taylor_coeffs(token, N)`` in powers of pi
+and the float layer resolves it as ``trace_value(token, pi)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 from .spectrum import CoeffLike, DtmError, Spectrum2D, as_coeff, coeff_str
 
 KINDS = ("sin", "cos", "sinh", "cosh", "exp", "polynomial", "zero")
-SYM_AMPS = ("none", "sinh_pi", "cosh_pi", "sinh_2pi", "cosh_2pi")
+# A token's pi-series must have one parity: the exact inference route matches
+# it against the unknown seed layer's pi-parity block.
+TOKEN_KINDS = ("sin", "cos", "sinh", "cosh")
 
 __all__ = [
     "FuncSpec",
     "KINDS",
-    "SYM_AMPS",
+    "TOKEN_KINDS",
     "funcspec_from_json",
     "funcspec_to_json",
     "outer_product",
-    "sym_amp_series_coeff",
-    "sym_amp_value",
     "taylor_coeffs",
     "taylor_coeffs_float",
     "trace_value",
 ]
 
 
-def sym_amp_value(token: str) -> float:
-    """Float value of a symbolic amplitude token."""
-    if token == "none":
-        return 1.0
-    if token == "sinh_pi":
-        return math.sinh(math.pi)
-    if token == "cosh_pi":
-        return math.cosh(math.pi)
-    if token == "sinh_2pi":
-        return math.sinh(2 * math.pi)
-    if token == "cosh_2pi":
-        return math.cosh(2 * math.pi)
-    raise DtmError(f"unknown symbolic amplitude {token!r}")
-
-
-def sym_amp_series_coeff(token: str, p: int) -> Fraction:
-    """Coefficient of pi**p in the defining series of a token.
-
-    sinh(c*pi) = sum over odd p of c**p pi**p / p!, cosh likewise over even p;
-    the trivial token "none" is the constant 1.
-    """
-    if p < 0:
-        return Fraction(0)
-    if token == "none":
-        return Fraction(1) if p == 0 else Fraction(0)
-    if token == "sinh_pi":
-        return Fraction(1, math.factorial(p)) if p % 2 == 1 else Fraction(0)
-    if token == "cosh_pi":
-        return Fraction(1, math.factorial(p)) if p % 2 == 0 else Fraction(0)
-    if token == "sinh_2pi":
-        return Fraction(2**p, math.factorial(p)) if p % 2 == 1 else Fraction(0)
-    if token == "cosh_2pi":
-        return Fraction(2**p, math.factorial(p)) if p % 2 == 0 else Fraction(0)
-    raise DtmError(f"unknown symbolic amplitude {token!r}")
-
-
 @dataclass(frozen=True)
 class FuncSpec:
     """Symbolic descriptor of a 1D boundary trace: amplitude * f(scale * t).
 
-    ``sym_amp`` multiplies the whole term by a transcendental constant that
-    the exact layer keeps symbolic.  A sum of terms is expressed with
-    ``terms`` set and all other fields at their defaults.
+    ``sym_amp`` multiplies the whole term by a constant that the exact layer
+    keeps symbolic: None or a token, a :data:`TOKEN_KINDS` trace of amplitude
+    1 standing for its value at t = pi; legacy names such as "sinh_2pi" are
+    normalised.  A sum of terms is expressed with ``terms`` set and all other
+    fields at their defaults.
     """
 
     kind: str = "zero"
     arg_scale: Fraction = Fraction(1)
     amplitude: Fraction = Fraction(1)
-    sym_amp: str = "none"
+    sym_amp: Union["FuncSpec", str, None] = None
     poly_coeffs: Optional[tuple[Fraction, ...]] = None
     terms: Optional[tuple["FuncSpec", ...]] = None
 
@@ -97,8 +64,7 @@ class FuncSpec:
             return
         if self.kind not in KINDS:
             raise DtmError(f"unknown trace kind {self.kind!r}")
-        if self.sym_amp not in SYM_AMPS:
-            raise DtmError(f"unknown symbolic amplitude {self.sym_amp!r}")
+        object.__setattr__(self, "sym_amp", _as_token(self.sym_amp))
         object.__setattr__(self, "arg_scale", as_coeff(self.arg_scale))
         object.__setattr__(self, "amplitude", as_coeff(self.amplitude))
         if self.kind == "polynomial":
@@ -123,6 +89,30 @@ class FuncSpec:
     def flat_terms(self) -> tuple["FuncSpec", ...]:
         """The trace as a tuple of single-library terms."""
         return self.terms if self.terms is not None else (self,)
+
+
+def _as_token(token) -> Optional[FuncSpec]:
+    """Normalise a symbolic amplitude: None, a legacy name or a token trace."""
+    if isinstance(token, str):
+        if token not in _LEGACY_TOKENS:
+            raise DtmError(f"unknown symbolic amplitude {token!r}")
+        return _LEGACY_TOKENS[token]
+    if token is None or (
+        isinstance(token, FuncSpec) and token.kind in TOKEN_KINDS
+        and token.amplitude == 1 and token.sym_amp is None
+    ):
+        return token
+    raise DtmError(f"a symbolic amplitude is one {TOKEN_KINDS} term of amplitude 1, got {token!r}")
+
+
+# Names the token had before it was a trace, still accepted in JSON and code.
+_LEGACY_TOKENS = {
+    "none": None,
+    "sinh_pi": FuncSpec(kind="sinh"),
+    "cosh_pi": FuncSpec(kind="cosh"),
+    "sinh_2pi": FuncSpec(kind="sinh", arg_scale=2),
+    "cosh_2pi": FuncSpec(kind="cosh", arg_scale=2),
+}
 
 
 def _base_coeff(kind: str, poly: Optional[tuple[Fraction, ...]], k: int) -> Fraction:
@@ -151,7 +141,7 @@ def taylor_coeffs(f: FuncSpec, order: int) -> list[Fraction]:
         raise DtmError(f"order must be non-negative, got {order}")
     out = [Fraction(0)] * (order + 1)
     for term in f.flat_terms():
-        if term.sym_amp != "none":
+        if term.sym_amp is not None:
             raise DtmError(
                 "trace carries a symbolic amplitude; exact coefficients are "
                 "not defined (use taylor_coeffs_float)"
@@ -169,14 +159,14 @@ def taylor_coeffs_float(f: FuncSpec, order: int) -> list[float]:
     """Float coefficients with symbolic amplitudes resolved."""
     out = [0.0] * (order + 1)
     for term in f.flat_terms():
-        token = sym_amp_value(term.sym_amp)
-        scale_pow = Fraction(1)
-        for k in range(order + 1):
-            base = _base_coeff(term.kind, term.poly_coeffs, k)
-            if base != 0:
-                out[k] += token * float(term.amplitude * scale_pow * base)
-            scale_pow *= term.arg_scale
+        token = _token_value(term.sym_amp)
+        for k, c in enumerate(taylor_coeffs(replace(term, sym_amp=None), order)):
+            out[k] += token * float(c)
     return out
+
+
+def _token_value(token: Optional[FuncSpec]) -> float:
+    return 1.0 if token is None else trace_value(token, math.pi)
 
 
 def trace_value(f: FuncSpec, t: float) -> float:
@@ -186,21 +176,13 @@ def trace_value(f: FuncSpec, t: float) -> float:
         if term.kind == "zero" or term.amplitude == 0:
             continue
         u = float(term.arg_scale) * t
-        if term.kind == "sin":
-            base = math.sin(u)
-        elif term.kind == "cos":
-            base = math.cos(u)
-        elif term.kind == "sinh":
-            base = math.sinh(u)
-        elif term.kind == "cosh":
-            base = math.cosh(u)
-        elif term.kind == "exp":
-            base = math.exp(u)
-        else:  # polynomial, Horner in u
+        if term.kind == "polynomial":  # Horner in u
             base = 0.0
             for c in reversed(term.poly_coeffs):
                 base = base * u + float(c)
-        total += float(term.amplitude) * sym_amp_value(term.sym_amp) * base
+        else:  # the other kinds are named after their math functions
+            base = getattr(math, term.kind)(u)
+        total += float(term.amplitude) * _token_value(term.sym_amp) * base
     return total
 
 
@@ -234,7 +216,7 @@ def funcspec_to_json(f: FuncSpec) -> dict:
         "kind": f.kind,
         "arg_scale": coeff_str(f.arg_scale),
         "amplitude": coeff_str(f.amplitude),
-        "sym_amp": f.sym_amp,
+        "sym_amp": "none" if f.sym_amp is None else funcspec_to_json(f.sym_amp),
     }
     if f.poly_coeffs is not None:
         data["poly_coeffs"] = [coeff_str(c) for c in f.poly_coeffs]
@@ -242,7 +224,7 @@ def funcspec_to_json(f: FuncSpec) -> dict:
 
 
 def funcspec_from_json(data: Mapping) -> FuncSpec:
-    """Inverse of :func:`funcspec_to_json`."""
+    """Inverse of :func:`funcspec_to_json`; ``sym_amp`` may also be a legacy name."""
     if "terms" in data:
         return FuncSpec(terms=tuple(funcspec_from_json(t) for t in data["terms"]))
     try:
@@ -250,10 +232,11 @@ def funcspec_from_json(data: Mapping) -> FuncSpec:
     except KeyError as exc:
         raise DtmError("trace JSON needs a 'kind' or 'terms' field") from exc
     poly = data.get("poly_coeffs")
+    token = data.get("sym_amp")
     return FuncSpec(
         kind=kind,
         arg_scale=as_coeff(data.get("arg_scale", 1)),
         amplitude=as_coeff(data.get("amplitude", 1)),
-        sym_amp=data.get("sym_amp", "none"),
+        sym_amp=funcspec_from_json(token) if isinstance(token, Mapping) else token,
         poly_coeffs=tuple(as_coeff(c) for c in poly) if poly is not None else None,
     )

@@ -8,27 +8,23 @@ and closed-form residuals, and exact spectrum comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .rules import dt_derivative
 from .spectrum import DtmError, Spectrum2D
-from .taylor import trace_value
+from .taylor import FuncSpec, trace_value
 
 if TYPE_CHECKING:  # runtime import would be circular; solver imports verify
     from .solver import BoundarySpec
 
-REFERENCE_FORMS = (
-    "sinh(x)*cos(y)",
-    "cosh(x)*sin(y)",
-    "cos(2x)*cosh(2y)",
-    "cos(x)*sinh(y)",
-)
+_FACTOR = r"(sin|cos|sinh|cosh)\(([1-9]\d*(?:/[1-9]\d*)?)?{}\)"
+_REFERENCE = re.compile(_FACTOR.format("x") + r"\*" + _FACTOR.format("y"))
 
 __all__ = [
     "GridSpec",
-    "REFERENCE_FORMS",
     "ReferenceSolution",
     "boundary_residual",
     "compare_closed_form",
@@ -65,25 +61,23 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """One of the four known closed-form solutions, as an evaluator."""
+    """A separable closed form F(kx)*G(ky) with F, G in sin, cos, sinh, cosh
+    and k an optional positive rational, e.g. "cos(3/2x)*cosh(3/2y)"."""
 
     descriptor: str
+    x_factor: FuncSpec = field(init=False, repr=False)
+    y_factor: FuncSpec = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.descriptor not in REFERENCE_FORMS:
-            raise DtmError(
-                f"unknown reference {self.descriptor!r}; expected one of "
-                f"{REFERENCE_FORMS}"
-            )
+        match = isinstance(self.descriptor, str) and _REFERENCE.fullmatch(self.descriptor)
+        if not match:
+            raise DtmError(f"unknown reference {self.descriptor!r}; expected F(kx)*G(ky)")
+        f, kx, g, ky = match.groups()
+        object.__setattr__(self, "x_factor", FuncSpec(kind=f, arg_scale=kx or 1))
+        object.__setattr__(self, "y_factor", FuncSpec(kind=g, arg_scale=ky or 1))
 
     def __call__(self, x: float, y: float) -> float:
-        if self.descriptor == "sinh(x)*cos(y)":
-            return math.sinh(x) * math.cos(y)
-        if self.descriptor == "cosh(x)*sin(y)":
-            return math.cosh(x) * math.sin(y)
-        if self.descriptor == "cos(2x)*cosh(2y)":
-            return math.cos(2 * x) * math.cosh(2 * y)
-        return math.cos(x) * math.sinh(y)
+        return trace_value(self.x_factor, x) * trace_value(self.y_factor, y)
 
 
 def eval_grid(
@@ -172,12 +166,15 @@ def boundary_residual(
 def compare_closed_form(
     s: Spectrum2D, ref: ReferenceSolution, grid: GridSpec
 ) -> float:
-    """Max-abs error of the truncated series against the closed form."""
+    """Max-abs error of the truncated series against the closed form, which
+    is evaluated once per x and once per y and then multiplied."""
     values = eval_grid(s, grid.x_points, grid.y_points)
+    ys = [trace_value(ref.y_factor, y) for y in grid.y_points]
     worst = 0.0
     for x, row in zip(grid.x_points, values):
-        for y, value in zip(grid.y_points, row):
-            worst = max(worst, abs(value - ref(x, y)))
+        fx = trace_value(ref.x_factor, x)
+        for gy, value in zip(ys, row):
+            worst = max(worst, abs(value - fx * gy))
     return worst
 
 

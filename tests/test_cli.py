@@ -174,6 +174,42 @@ class TestConfigHandling:
         assert payload["order"] == 36
         assert payload["closed_form_max_err"] < 1e-8
 
+    def test_custom_config_with_token_traces(self, capsys, tmp_path):
+        # u = cos(3x/2) sinh(3y/2): tokens and reference beyond the catalog
+        token = {"kind": "sinh", "arg_scale": "3/2"}
+        config = {
+            "model": "custom",
+            "order": 40,
+            "format": "json",
+            "reference": "cos(3/2x)*sinh(3/2y)",
+            "bc": {
+                "y=0": {"kind": "dirichlet", "trace": {"kind": "zero"}},
+                "y=pi": {"kind": "dirichlet",
+                         "trace": {"kind": "cos", "arg_scale": "3/2", "sym_amp": token}},
+                "x=0": {"kind": "dirichlet", "trace": {"kind": "sinh", "arg_scale": "3/2"}},
+                "x=pi": {"kind": "dirichlet",
+                         "trace": {"kind": "sinh", "arg_scale": "3/2",
+                                   "sym_amp": {"kind": "cos", "arg_scale": "3/2"}}},
+            },
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(config))
+        status, out, _ = run_cli(capsys, ["solve", "--config", str(path)])
+        assert status == 0
+        payload = json.loads(out)
+        assert payload["inference"]["method"] == "exact"
+        assert payload["closed_form_max_err"] < 1e-8
+
+    def test_custom_bad_reference(self, capsys, tmp_path):
+        zero = {"kind": "dirichlet", "trace": {"kind": "zero"}}
+        config = {"model": "custom", "reference": "tan(x)*cos(y)",
+                  "bc": {edge: zero for edge in ("y=0", "y=pi", "x=0", "x=pi")}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(config))
+        status, _, err = run_cli(capsys, ["solve", "--config", str(path)])
+        assert status == 1
+        assert "unknown reference" in err
+
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"model": "example1", "order": 8, "format": "json"}))

@@ -33,12 +33,13 @@ from dtm2d import (
 )
 from dtm2d.solver import (
     BC_KINDS,
+    _closure_targets,
     _even_transfer,
     _layer_match_terms,
     _match_residual,
     _odd_transfer,
 )
-from dtm2d.taylor import SYM_AMPS, sym_amp_value
+from dtm2d.taylor import TOKEN_KINDS
 
 from conftest import (
     MODEL_FORMULAS,
@@ -234,7 +235,11 @@ def _transfer_match_terms(m, layer_index, closure_kind, order):
 
 
 def _per_term_match_residual(layer0, layer1, closure_kind, targets, order):
-    """Closure-match residual converting every factor, pi power and entry per term."""
+    """Closure-match residual converting every factor, pi power and entry per term.
+
+    ``targets`` holds (coefficients, token kind or None, token scale c); the
+    token's value is kind(c * pi) from ``math``.
+    """
     pi = math.pi
     worst = 0.0
     for m in range(order + 1):
@@ -245,7 +250,10 @@ def _per_term_match_residual(layer0, layer1, closure_kind, targets, order):
         for j, coef, power in _transfer_match_terms(m, 1, closure_kind, order):
             if layer1[j]:
                 lhs += float(coef) * pi**power * float(layer1[j])
-        rhs = sum(float(q[m]) * sym_amp_value(token) for q, token in targets)
+        rhs = sum(
+            float(q[m]) * (1.0 if kind is None else getattr(math, kind)(float(c) * pi))
+            for q, kind, c in targets
+        )
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -285,11 +293,22 @@ class TestClosureMatch:
             return [v / fact(j) if decay else v for j, v in enumerate(values)]
 
         layer0, layer1 = layer(), layer()
+        scales = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)
         targets = [
-            (layer(), data.draw(st.sampled_from(SYM_AMPS)))
+            (layer(), data.draw(st.sampled_from((None,) + TOKEN_KINDS)), data.draw(scales))
             for _ in range(data.draw(st.integers(0, 3)))
         ]
-        got = _match_residual(layer0, layer1, kind, targets, order)
+        # each target as a polynomial term whose coefficients are the drawn layer
+        terms = tuple(
+            FuncSpec(
+                kind="polynomial",
+                poly_coeffs=tuple(q),
+                sym_amp=None if token is None else FuncSpec(kind=token, arg_scale=c),
+            )
+            for q, token, c in targets
+        )
+        resolved = _closure_targets(FuncSpec(terms=terms), order) if terms else []
+        got, _ = _match_residual(layer0, layer1, kind, resolved, order)
         assert got == _per_term_match_residual(layer0, layer1, kind, targets, order)
 
 

@@ -205,6 +205,18 @@ class TestValidationAndJson:
     def test_unknown_token(self):
         with pytest.raises(DtmError):
             FuncSpec(kind="sin", sym_amp="tanh_pi")
+        for token in (FuncSpec(kind="exp"), FuncSpec(kind="sinh", amplitude=2),
+                      FuncSpec(kind="sinh", sym_amp="cosh_pi"), {"kind": "sinh"}):
+            with pytest.raises(DtmError):
+                FuncSpec(kind="sin", sym_amp=token)
+
+    def test_token_spellings_agree(self):
+        legacy = FuncSpec(kind="cos", sym_amp="sinh_2pi")
+        assert legacy.sym_amp == FuncSpec(kind="sinh", arg_scale=2)
+        assert FuncSpec(kind="cos", sym_amp="none").sym_amp is None
+        data = {"kind": "cos", "sym_amp": {"kind": "sinh", "arg_scale": "2"}}
+        assert funcspec_from_json(data) == legacy
+        assert funcspec_from_json({"kind": "cos", "sym_amp": "sinh_2pi"}) == legacy
 
     def test_is_zero(self):
         assert FuncSpec(kind="zero").is_zero()

@@ -265,5 +265,10 @@ class TestGridAndReference:
         assert ReferenceSolution("cos(x)*sinh(y)")(0.5, 0.25) == pytest.approx(
             math.cos(0.5) * math.sinh(0.25)
         )
-        with pytest.raises(DtmError):
-            ReferenceSolution("tan(x)")
+        assert ReferenceSolution("cos(3/2x)*sinh(2y)")(0.5, 0.25) == pytest.approx(
+            math.cos(0.75) * math.sinh(0.5)
+        )
+        for bad in ("tan(x)", "tan(x)*cos(y)", "cos(0x)*sinh(y)", "cos(x)*sinh(x)",
+                    "cos(-2x)*cosh(2y)", "cos(2/0x)*cosh(y)", 5):
+            with pytest.raises(DtmError):
+                ReferenceSolution(bad)
