@@ -51,6 +51,7 @@ MIN_WORKING_ORDER = 44
 
 RESIDUAL_ERROR = 1e-6
 RESIDUAL_WARN = 1e-9
+CORNER_TOL = 1e-9  # relative to max(1, |a|, |b|) of the two corner values
 SNAP_TOL = 1e-9
 SNAP_DENOM_ENV = "DTM_SEED_SNAP_DENOM"
 DEFAULT_SNAP_DENOM = 10**6
@@ -497,6 +498,35 @@ def _choose_axis(bc: BoundarySpec) -> str:
     return MARCH_IN_M
 
 
+# Each corner of the square and the two edges through it, with the point of
+# each edge's trace (the trace runs along x for y=0/pi, along y for x=0/pi)
+# that lands on the corner.
+_CORNERS = (
+    ("(0,0)", ("y=0", 0.0), ("x=0", 0.0)),
+    ("(pi,0)", ("y=0", math.pi), ("x=pi", 0.0)),
+    ("(0,pi)", ("y=pi", 0.0), ("x=0", math.pi)),
+    ("(pi,pi)", ("y=pi", math.pi), ("x=pi", math.pi)),
+)
+
+
+def _check_corners(bc: BoundarySpec) -> None:
+    """Raise when two Dirichlet traces disagree where their edges meet.
+
+    No continuous u satisfies such data, so no spectrum can; without this
+    check the solve succeeds and only the boundary residual shows the gap.
+    """
+    for corner, (edge_a, t_a), (edge_b, t_b) in _CORNERS:
+        cond_a, cond_b = bc.on(edge_a), bc.on(edge_b)
+        if cond_a.kind != "dirichlet" or cond_b.kind != "dirichlet":
+            continue
+        a, b = trace_value(cond_a.trace, t_a), trace_value(cond_b.trace, t_b)
+        if abs(a - b) > CORNER_TOL * max(1.0, abs(a), abs(b)):
+            raise DtmError(
+                f"Dirichlet data disagree at corner {corner}: "
+                f"{edge_a} gives {a!r}, {edge_b} gives {b!r}"
+            )
+
+
 def _working_order(bc: BoundarySpec, order: int) -> int:
     """Least W >= max(order, MIN_WORKING_ORDER) whose tail at the largest
     argument scale c of any term or token, (c*pi)**(W+1) / (W+1)!, is at most
@@ -533,6 +563,8 @@ def solve_model(
 
     The seed edge (y=0 or x=0, by marching axis) must have an exact trace;
     the opposite edge closes the problem through :func:`infer_missing_seed`.
+    Adjacent Dirichlet traces must agree at their shared corner, or
+    :func:`_check_corners` raises before inference.
     ``origin_value`` pins u at the expansion origin when the closure leaves
     that entry undetermined (the additive constant of all-Neumann data).
     The first-order entry it leaves undetermined, U(1, 0) or U(0, 1), is the
@@ -558,6 +590,7 @@ def solve_model(
         raise DtmError(
             f"seed edge {seed_edge} must have an exact trace: {exc}"
         ) from exc
+    _check_corners(bc)
 
     inferred = infer_missing_seed(
         known,

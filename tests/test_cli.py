@@ -210,6 +210,18 @@ class TestConfigHandling:
         assert status == 1
         assert "unknown reference" in err
 
+    def test_incompatible_corner_exits_1(self, capsys, tmp_path):
+        # u(x,pi) = 1 with zero data elsewhere: no continuous u meets it at (0,pi)
+        zero = {"kind": "dirichlet", "trace": {"kind": "zero"}}
+        bc = {edge: zero for edge in ("y=0", "x=0", "x=pi")}
+        bc["y=pi"] = {"kind": "dirichlet", "trace": {"kind": "polynomial", "poly_coeffs": ["1"]}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"model": "custom", "order": 12, "bc": bc}))
+        status, out, err = run_cli(capsys, ["solve", "--config", str(path)])
+        assert status == 1
+        assert out == ""
+        assert "corner (0,pi)" in err
+
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"model": "example1", "order": 8, "format": "json"}))

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtm2d import (
@@ -29,6 +29,7 @@ from conftest import (
     enumerate_spectrum,
     formula_example1,
     formula_example2,
+    nonzero_fractions,
     poly_diff,
     poly_exp,
     poly_from_spectrum,
@@ -42,6 +43,83 @@ from conftest import (
 )
 
 fact = math.factorial
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def dense_product(v, w):
+    """Reference product: a dense per-entry loop over the triangle."""
+    order = v.order
+    table = {}
+    for m in range(order + 1):
+        for n in range(order + 1 - m):
+            acc = Fraction(0)
+            for k in range(m + 1):
+                for l in range(n + 1):
+                    vc = v.entries.get((k, n - l))
+                    if vc:
+                        wc = w.entries.get((m - k, l))
+                        if wc:
+                            acc += vc * wc
+            if acc != 0:
+                table[(m, n)] = acc
+    return Spectrum2D(order, v.origin, table)
+
+
+def per_term_exp(v, a):
+    """Reference e**(a*v) for v(0,0) = 0: the recurrence one term at a time,
+    with the m-recurrence for m >= 1 and the n-recurrence on the m = 0 column."""
+    order = v.order
+    u = {(0, 0): Fraction(1)}
+    for d in range(1, order + 1):
+        for m in range(d, -1, -1):
+            n = d - m
+            acc = Fraction(0)
+            if m >= 1:
+                for (mk, l), vc in v.entries.items():
+                    k = m - mk
+                    if k < 0 or mk < 1 or l > n:
+                        continue
+                    uc = u.get((k, n - l))
+                    if uc:
+                        acc += Fraction(mk, m) * vc * uc
+            else:
+                for (k, nl), vc in v.entries.items():
+                    if k > m or nl < 1 or nl > n:
+                        continue
+                    uc = u.get((m - k, n - nl))
+                    if uc:
+                        acc += Fraction(nl, n) * vc * uc
+            value = a * acc
+            if value != 0:
+                u[(m, n)] = value
+    return Spectrum2D(order, v.origin, u)
+
+
+@st.composite
+def product_operands(draw):
+    """Two operands at a shared order in 0..20 and a shared rational origin,
+    each empty, constant, sparse or dense."""
+    order = draw(st.integers(0, 20))
+    origin = (draw(small_fractions), draw(small_fractions))
+    out = []
+    for _ in range(2):
+        shape = draw(st.sampled_from(("empty", "constant", "sparse", "dense")))
+        if shape == "sparse":
+            keys = draw(
+                st.lists(st.sampled_from(triangle_keys(order)), unique=True, max_size=12)
+            )
+        else:
+            keys = {"empty": [], "constant": [(0, 0)], "dense": triangle_keys(order)}[shape]
+        pool = draw(st.lists(nonzero_fractions, min_size=1, max_size=8))
+        entries = [(m, n, pool[i % len(pool)]) for i, (m, n) in enumerate(keys)]
+        out.append(make_spectrum(order, entries, origin))
+    return out[0], out[1]
+
+
+def _prime_spectrum(order, primes):
+    keys = triangle_keys(order)
+    return make_spectrum(order, [(m, n, Fraction(1, p)) for (m, n), p in zip(keys, primes)])
 
 
 class TestAdd:
@@ -160,6 +238,19 @@ class TestProduct:
                     table[(m, n)] = acc
         assert dict(dt_product(v, w).entries) == table
 
+    @settings(max_examples=100, deadline=None)
+    @given(product_operands())
+    @example((  # (1+x)(1-x): the x entries cancel and must be dropped
+        make_spectrum(3, [(0, 0, 1), (1, 0, 1)]), make_spectrum(3, [(0, 0, 1), (1, 0, -1)])
+    ))
+    @example((_prime_spectrum(5, PRIMES[::2]), _prime_spectrum(5, PRIMES[1::2])))
+    def test_bit_identical_to_dense_loop(self, pair):
+        # equal values and the same key order, including cancelled entries
+        v, w = pair
+        got, ref = dt_product(v, w), dense_product(v, w)
+        assert got == ref
+        assert list(got.entries) == list(ref.entries)
+
 
 class TestDerivative:
     def test_zeroth_derivative(self):
@@ -241,6 +332,19 @@ class TestExp:
                     for l in range(n)
                 )
                 assert m_branch == n_branch == u.get(m, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_per_term_recurrence(self, data):
+        # non-separable v: mixed entries V(k, l) with k, l >= 1 included
+        order = data.draw(st.integers(1, 12))
+        keys = triangle_keys(order)[1:]  # every key but (0, 0)
+        chosen = data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=8))
+        v = make_spectrum(order, [(m, n, data.draw(nonzero_fractions)) for m, n in chosen])
+        a = data.draw(nonzero_fractions)
+        got, ref = dt_exp(v, a), per_term_exp(v, a)
+        assert got == ref
+        assert list(got.entries) == list(ref.entries)
 
 
 class TestMonomials:

@@ -1,6 +1,7 @@
 """Recurrence propagation, closed-form transfer, seed inference, models."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from dtm2d import (
 )
 from dtm2d.solver import (
     BC_KINDS,
+    _check_corners,
     _closure_targets,
     _even_transfer,
     _layer_match_terms,
@@ -514,6 +516,26 @@ class TestSolveModel:
         ))
         with pytest.raises(DtmError, match="seed edge"):
             solve_model(bc, 10)
+
+    @pytest.mark.parametrize("edge,poly,corner", [
+        ("y=pi", (1,), "(0,pi)"),  # u(x,pi) = 1 with zero data on the other edges
+        ("y=0", (1,), "(0,0)"),
+        ("y=0", (0, 1), "(pi,0)"),
+        ("y=pi", (0, 1), "(pi,pi)"),
+    ])
+    def test_incompatible_dirichlet_corner_rejected(self, edge, poly, corner):
+        bc = BoundarySpec(tuple(
+            EdgeCondition(e, "dirichlet", FuncSpec(kind="polynomial", poly_coeffs=poly)
+                          if e == edge else FuncSpec(kind="zero"))
+            for e in ("y=0", "y=pi", "x=0", "x=pi")
+        ))
+        with pytest.raises(DtmError, match=re.escape(f"corner {corner}: {edge} gives")):
+            solve_model(bc, 10)
+        # a Neumann edge next to the corner imposes no value there
+        _check_corners(BoundarySpec(tuple(
+            replace(c, kind="neumann") if c.edge.startswith("x") else c
+            for c in bc.conditions
+        )))
 
     def test_origin_pin_only_when_undetermined(self):
         model = model_catalog()["example1"]
