@@ -509,18 +509,67 @@ _CORNERS = (
 )
 
 
+# The kind whose function is the derivative of each transcendental kind, up
+# to sign.
+_DERIVATIVE_KIND = {"sin": "cos", "cos": "sin", "sinh": "cosh", "cosh": "sinh", "exp": "exp"}
+
+
+def _base_error(term: FuncSpec, t: float) -> tuple[float, float]:
+    """|g(u)| for a term's base g at u = scale * t, and a first-order bound,
+    in units of 2**-52, on the float error of g(u) against g at exact t: one
+    rounding of the result plus three of the argument (scale, t and their
+    product) times |u g'(u)|, or for polynomials Horner's 2n roundings plus
+    the argument's (Higham, ch. 5)."""
+    u = float(term.arg_scale) * t
+    if term.kind == "polynomial":
+        n = len(term.poly_coeffs)
+        value = size = 0.0
+        for i, c in reversed(list(enumerate(term.poly_coeffs))):
+            value = value * u + float(c)
+            size += (2 * n + 3 * i) * abs(float(c)) * abs(u) ** i
+        return abs(value), size
+    value = abs(getattr(math, term.kind)(u))
+    return value, value + 3 * abs(u * getattr(math, _DERIVATIVE_KIND[term.kind])(u))
+
+
+def _trace_rounding(f: FuncSpec, t: float) -> float:
+    """First-order bound on the float error of ``trace_value(f, t)`` against
+    the trace at exact t, tokens at exact pi.  Per term amplitude * T * B
+    the error is at most |amplitude| (dT |B| + |T| dB) plus three roundings
+    of the product, and the sum of n terms adds n - 1 more (Higham, ch. 3),
+    so (n + 3) * 2**-52 * sum |amplitude| (dT |B| + |T| dB) bounds it.
+
+    The bound matters where a term vanishes at the corner but its factors do
+    not: sin(6y) cosh(6 pi) at y = pi is about 6e-8 in floats, not 0.
+    """
+    terms = [x for x in f.flat_terms() if x.kind != "zero" and x.amplitude != 0]
+    size = 0.0
+    for term in terms:
+        base, base_err = _base_error(term, t)
+        token, token_err = (
+            (1.0, 0.0) if term.sym_amp is None else _base_error(term.sym_amp, math.pi)
+        )
+        size += abs(float(term.amplitude)) * (token_err * base + token * base_err)
+    return (len(terms) + 3) * 2.0**-52 * size
+
+
 def _check_corners(bc: BoundarySpec) -> None:
     """Raise when two Dirichlet traces disagree where their edges meet.
 
     No continuous u satisfies such data, so no spectrum can; without this
     check the solve succeeds and only the boundary residual shows the gap.
+    A gap within CORNER_TOL of the corner values, or within the float
+    rounding of the two traces (:func:`_trace_rounding`), shows nothing.
     """
     for corner, (edge_a, t_a), (edge_b, t_b) in _CORNERS:
         cond_a, cond_b = bc.on(edge_a), bc.on(edge_b)
         if cond_a.kind != "dirichlet" or cond_b.kind != "dirichlet":
             continue
         a, b = trace_value(cond_a.trace, t_a), trace_value(cond_b.trace, t_b)
-        if abs(a - b) > CORNER_TOL * max(1.0, abs(a), abs(b)):
+        gap = abs(a - b)
+        if gap > CORNER_TOL * max(1.0, abs(a), abs(b)) and gap > (
+            _trace_rounding(cond_a.trace, t_a) + _trace_rounding(cond_b.trace, t_b)
+        ):
             raise DtmError(
                 f"Dirichlet data disagree at corner {corner}: "
                 f"{edge_a} gives {a!r}, {edge_b} gives {b!r}"

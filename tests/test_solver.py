@@ -40,8 +40,9 @@ from dtm2d.solver import (
     _layer_match_terms,
     _match_residual,
     _odd_transfer,
+    _trace_rounding,
 )
-from dtm2d.taylor import TOKEN_KINDS
+from dtm2d.taylor import TOKEN_KINDS, trace_value
 
 from conftest import (
     MODEL_FORMULAS,
@@ -536,6 +537,73 @@ class TestSolveModel:
             replace(c, kind="neumann") if c.edge.startswith("x") else c
             for c in bc.conditions
         )))
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_corner_within_trace_rounding_accepted(self, k):
+        # cosh(kx) sin(ky), written like example2: at (pi, pi) the zero y=pi
+        # edge meets sin(6 pi) cosh(6 pi), -5.6e-8 in floats (2e-9 at k = 5)
+        def bc(y_pi):
+            return BoundarySpec((
+                EdgeCondition("y=0", "dirichlet", FuncSpec(kind="zero")),
+                EdgeCondition("y=pi", "dirichlet", y_pi),
+                EdgeCondition("x=0", "dirichlet", FuncSpec(kind="sin", arg_scale=k)),
+                EdgeCondition("x=pi", "dirichlet", FuncSpec(
+                    kind="sin", arg_scale=k, sym_amp=FuncSpec(kind="cosh", arg_scale=k)
+                )),
+            ))
+        order = 20
+        report = solve_model(bc(FuncSpec(kind="zero")), order, boundary_samples=2)
+        assert report.spectrum == outer_product(
+            taylor_coeffs(FuncSpec(kind="cosh", arg_scale=k), order),
+            taylor_coeffs(FuncSpec(kind="sin", arg_scale=k), order),
+            order,
+        )
+        # the rounding allowance does not hide a real gap of 1e-3
+        gap = FuncSpec(kind="polynomial", poly_coeffs=(Fraction(1, 1000),))
+        with pytest.raises(DtmError, match=re.escape("corner (0,pi)")):
+            solve_model(bc(gap), order)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_trace_rounding_bounds_float_error(self, data):
+        # trace_value at t = 0 or float pi against the trace at exact t, tokens
+        # at exact pi, evaluated in 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        kinds = ("sin", "cos", "sinh", "cosh", "exp", "polynomial")
+        scales = st.builds(Fraction, st.integers(1, 8), st.integers(1, 4))
+        terms = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(kinds))
+            poly = (
+                tuple(data.draw(st.lists(small_fractions, min_size=1, max_size=6)))
+                if kind == "polynomial" else None
+            )
+            token = data.draw(st.none() | st.builds(
+                lambda kind, c: FuncSpec(kind=kind, arg_scale=c),
+                st.sampled_from(TOKEN_KINDS), scales,
+            ))
+            terms.append(FuncSpec(kind=kind, arg_scale=data.draw(scales), poly_coeffs=poly,
+                                  amplitude=data.draw(small_fractions), sym_amp=token))
+        f = FuncSpec(terms=tuple(terms))
+        t, exact_t = data.draw(st.sampled_from(((0.0, 0), (math.pi, "pi"))))
+
+        def mp(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        def base(term, at):
+            u = mp(term.arg_scale) * at
+            if term.kind == "polynomial":
+                return sum(mp(c) * u**i for i, c in enumerate(term.poly_coeffs))
+            return getattr(mpmath, term.kind)(u)
+
+        with mpmath.workdps(50):
+            at = mpmath.pi if exact_t == "pi" else mpmath.mpf(0)
+            exact = sum(
+                mp(x.amplitude) * base(x, at)
+                * (1 if x.sym_amp is None else base(x.sym_amp, mpmath.pi))
+                for x in terms
+            )
+            assert abs(trace_value(f, t) - exact) <= _trace_rounding(f, t)
 
     def test_origin_pin_only_when_undetermined(self):
         model = model_catalog()["example1"]
