@@ -51,7 +51,6 @@ from .taylor import (
     funcspec_to_json,
     outer_product,
     taylor_coeffs,
-    taylor_coeffs_float,
     trace_value,
 )
 from .verify import (

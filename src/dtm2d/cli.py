@@ -2,7 +2,8 @@
 
 Emits spectra, residual reports and convergence tables as JSON, CSV or a
 human-readable summary.  Exit status: 0 when all residual checks pass their
-thresholds, 2 on a threshold violation, 1 on configuration errors.
+thresholds, 2 on a threshold violation, a failed inference or a spectrum that
+is not exact, 1 on configuration errors.
 """
 
 from __future__ import annotations
@@ -303,6 +304,11 @@ def _pretty(report: ModelReport, config: RunConfig, rows: list[dict]) -> str:
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one resolved config; returns (exit status, report text)."""
     report = _solve(config, config.order)
+    if config.command == "spectrum" and report.inference_method != "exact":
+        raise InferenceError(
+            f"spectrum of {report.model} is not exact (float inference route); "
+            f"dtm solve --emit-spectrum reports it with its route"
+        )
     rows = [_row(_solve(config, order)) for order in config.convergence_orders or ()]
 
     if config.command == "spectrum":
@@ -411,9 +417,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             sys.stdout.write(text)
         return status
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InferenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,9 +16,10 @@ from the boundary condition on the opposite edge.  Inference has two routes:
   all-Neumann problem) are reported as undetermined.  Amplitude tokens
   enter as their own series in pi.
 * a float route that collapses the pi powers numerically and back-substitutes
-  per degree, then snaps the solved layer to nearby small rationals.  This is
-  only well-conditioned when the closure trace carries no transcendental
-  amplitude; the exact route covers those cases.
+  per degree.  Values within FLOAT_ZERO_TOL of zero become exact zeros; every
+  other value is the exact binary rational of its float, so the layer is not
+  exact and the report says "float".  It runs only when the exact route finds
+  the data inconsistent, or when a caller asks for it.
 
 Both routes report the max-abs per-degree mismatch of the closure match as a
 residual; solve_model runs the inference at a working order derived from the
@@ -28,7 +29,6 @@ data's argument scales, which resolves the closure series well below them.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -52,9 +52,7 @@ MIN_WORKING_ORDER = 44
 RESIDUAL_ERROR = 1e-6
 RESIDUAL_WARN = 1e-9
 CORNER_TOL = 1e-9  # relative to max(1, |a|, |b|) of the two corner values
-SNAP_TOL = 1e-9
-SNAP_DENOM_ENV = "DTM_SEED_SNAP_DENOM"
-DEFAULT_SNAP_DENOM = 10**6
+FLOAT_ZERO_TOL = 1e-9  # float-route values this small become exact zeros
 
 __all__ = [
     "BC_KINDS",
@@ -220,7 +218,7 @@ class InferredLayer:
     residual: float                  # max-abs per-degree closure mismatch
     warning: Optional[str] = None
     undetermined: tuple[int, ...] = ()
-    pre_snap: Optional[tuple[float, ...]] = None
+    pre_snap: Optional[tuple[float, ...]] = None  # float route: the raw floats
 
 
 def _layer_match_terms(m: int, layer_index: int, closure_kind: str, order: int):
@@ -327,18 +325,13 @@ def _infer_exact(known, known_index, closure_kind, targets, order):
     return coeffs, undetermined, inconsistency
 
 
-def _snap(value: float, denom_bound: int) -> Fraction:
-    """Nearest small-denominator rational within tolerance, else the exact float."""
-    if abs(value) <= SNAP_TOL:
-        return Fraction(0)
-    candidate = Fraction(value).limit_denominator(denom_bound)
-    if abs(float(candidate) - value) <= SNAP_TOL:
-        return candidate
-    return Fraction(value)
+def _infer_float(known, known_index, closure_kind, targets, order):
+    """Back-substitute the collapsed per-degree equations in floats.
 
-
-def _infer_float(known, known_index, closure_kind, targets, order, denom_bound):
-    """Back-substitute the collapsed per-degree equations, then rationalize."""
+    Returns (coeffs, undetermined, pre_snap): pre_snap holds the raw floats,
+    coeffs the same values as exact binary rationals, with those within
+    FLOAT_ZERO_TOL of zero made exact zeros.
+    """
     pi = math.pi
     unknown_index = 1 - known_index
     known_f = [float(c) for c in known]
@@ -362,7 +355,9 @@ def _infer_float(known, known_index, closure_kind, targets, order, denom_bound):
             raw[lead[0]] = rhs / lead[1]
     undetermined = tuple(j for j in range(order + 1) if raw[j] is None)
     pre_snap = tuple(0.0 if v is None else v for v in raw)
-    coeffs = tuple(_snap(v, denom_bound) for v in pre_snap)
+    coeffs = tuple(
+        Fraction(0) if abs(v) <= FLOAT_ZERO_TOL else Fraction(v) for v in pre_snap
+    )
     return coeffs, undetermined, pre_snap
 
 
@@ -374,7 +369,6 @@ def infer_missing_seed(
     order: int,
     *,
     method: str = "auto",
-    snap_denom: Optional[int] = None,
 ) -> InferredLayer:
     """Find the seed layer that makes the propagated series meet the far edge.
 
@@ -382,6 +376,11 @@ def infer_missing_seed(
     march-in-n, x=pi for march-in-m).  Indices the closure cannot see are
     returned as zero and listed in ``undetermined``; the caller decides what
     to pin there (the additive constant of an all-Neumann problem).
+
+    With ``method="auto"`` a consistent exact route's result stands; the
+    float route runs only when the exact route finds the data inconsistent.
+    ``"exact"`` raises instead of falling back; ``"float"`` runs the float
+    route alone.
     """
     if known_layer_index not in (0, 1):
         raise DtmError(f"known_layer_index must be 0 or 1, got {known_layer_index}")
@@ -397,18 +396,13 @@ def infer_missing_seed(
     known = [as_coeff(c) for c in known_layer]
     if len(known) != order + 1:
         raise DtmError(f"known layer must have length {order + 1}, got {len(known)}")
-    if snap_denom is None:
-        snap_denom = int(os.environ.get(SNAP_DENOM_ENV, DEFAULT_SNAP_DENOM))
 
     targets = _closure_targets(closure_edge.trace, order)
     kind = closure_edge.kind
 
-    def measure(coeffs) -> tuple[float, float]:
+    def finish(coeffs, used, undetermined, pre_snap=None) -> InferredLayer:
         pair = (coeffs, known) if known_layer_index == 1 else (known, coeffs)
-        return _match_residual(pair[0], pair[1], kind, targets, order)
-
-    def finish(coeffs, used, measured, undetermined, pre_snap=None) -> InferredLayer:
-        residual, rounding = measured
+        residual, rounding = _match_residual(pair[0], pair[1], kind, targets, order)
         # A residual within its own rounding bound shows no inconsistency.
         if residual > RESIDUAL_ERROR and residual > rounding:
             raise InferenceError(
@@ -422,33 +416,22 @@ def infer_missing_seed(
             warning = f"closure residual {residual:.3e} above {RESIDUAL_WARN:.0e}"
         return InferredLayer(coeffs, used, residual, warning, undetermined, pre_snap)
 
-    exact_result = None
-    if method in ("auto", "exact"):
+    if method != "float":
         coeffs, undetermined, inconsistency = _infer_exact(
             known, known_layer_index, kind, targets, order
         )
-        if method == "exact":
-            if inconsistency > 0.0:
-                raise InferenceError(
-                    f"exact parity matching inconsistent (max violation "
-                    f"{inconsistency:.3e}); closure data does not factor through "
-                    f"the pi-degree identity"
-                )
-            return finish(coeffs, "exact", measure(coeffs), undetermined)
         if inconsistency == 0.0:
-            measured = measure(coeffs)
-            if measured[0] <= RESIDUAL_WARN:
-                return finish(coeffs, "exact", measured, undetermined)
-            exact_result = (coeffs, measured, undetermined)
-
+            return finish(coeffs, "exact", undetermined)
+        if method == "exact":
+            raise InferenceError(
+                f"exact parity matching inconsistent (max violation "
+                f"{inconsistency:.3e}); closure data does not factor through "
+                f"the pi-degree identity"
+            )
     coeffs, undetermined, pre_snap = _infer_float(
-        known, known_layer_index, kind, targets, order, snap_denom
+        known, known_layer_index, kind, targets, order
     )
-    measured = measure(coeffs)
-    if exact_result is not None and exact_result[1][0] < measured[0]:
-        coeffs, measured, undetermined = exact_result
-        return finish(coeffs, "exact", measured, undetermined)
-    return finish(coeffs, "float", measured, undetermined, pre_snap)
+    return finish(coeffs, "float", undetermined, pre_snap)
 
 
 # --------------------------------------------------------------------------
@@ -605,8 +588,6 @@ def solve_model(
     reference: Optional[str] = None,
     grid=None,
     boundary_samples: int = 41,
-    method: str = "auto",
-    snap_denom: Optional[int] = None,
 ) -> ModelReport:
     """Seed, infer, propagate and verify one boundary-value model.
 
@@ -647,8 +628,6 @@ def solve_model(
         axis,
         bc.on(closure_edge),
         working,
-        method=method,
-        snap_denom=snap_denom,
     )
     unknown = list(inferred.coeffs)
     origin_value = as_coeff(origin_value)

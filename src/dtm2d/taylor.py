@@ -12,7 +12,7 @@ and the float layer resolves it as ``trace_value(token, pi)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -31,7 +31,6 @@ __all__ = [
     "funcspec_to_json",
     "outer_product",
     "taylor_coeffs",
-    "taylor_coeffs_float",
     "trace_value",
 ]
 
@@ -144,7 +143,7 @@ def taylor_coeffs(f: FuncSpec, order: int) -> list[Fraction]:
         if term.sym_amp is not None:
             raise DtmError(
                 "trace carries a symbolic amplitude; exact coefficients are "
-                "not defined (use taylor_coeffs_float)"
+                "not defined (use trace_value)"
             )
         scale_pow = Fraction(1)
         for k in range(order + 1):
@@ -152,16 +151,6 @@ def taylor_coeffs(f: FuncSpec, order: int) -> list[Fraction]:
             if base != 0:
                 out[k] += term.amplitude * scale_pow * base
             scale_pow *= term.arg_scale
-    return out
-
-
-def taylor_coeffs_float(f: FuncSpec, order: int) -> list[float]:
-    """Float coefficients with symbolic amplitudes resolved."""
-    out = [0.0] * (order + 1)
-    for term in f.flat_terms():
-        token = _token_value(term.sym_amp)
-        for k, c in enumerate(taylor_coeffs(replace(term, sym_amp=None), order)):
-            out[k] += token * float(c)
     return out
 
 

@@ -247,7 +247,7 @@ def test_a7_seed_inference():
         ok = ok and zero
         details.append(f"{model_id} zero={zero}")
     # the float route is well-posed for the token-free closure of example1:
-    # pre-snap magnitudes stay under 1e-9 and snap to exactly zero
+    # raw (pre_snap) magnitudes stay under 1e-9, so the zero rule makes them 0
     float_result = _model_inference("example1", 44, method="float")
     pre = max(abs(v) for v in float_result.pre_snap)
     ok = ok and pre < 1e-9 and all(c == 0 for c in float_result.coeffs)

@@ -131,6 +131,36 @@ class TestSpectrumCommand:
         assert payload["order"] == 4
         assert [1, 0, "1/1"] in payload["entries"]
 
+    def test_float_route_spectrum_refused(self, capsys, tmp_path):
+        # u(x,0) = 0, u_y(x,pi) = x^2/3: U(0,1) = pi^2/3 reaches the spectrum
+        # only through the float route, so it is not exact
+        zero = {"kind": "neumann", "trace": {"kind": "zero"}}
+        bc = {
+            "y=0": {"kind": "dirichlet", "trace": {"kind": "zero"}},
+            "y=pi": {"kind": "neumann",
+                     "trace": {"kind": "polynomial", "poly_coeffs": ["0", "0", "1/3"]}},
+            "x=0": zero,
+            "x=pi": zero,
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"model": "custom", "order": 12, "bc": bc}))
+        for fmt in ("pretty", "csv", "json"):
+            status, out, err = run_cli(
+                capsys, ["spectrum", "--config", str(path), "--format", fmt]
+            )
+            assert status == 2
+            assert out == ""
+            assert err == (
+                "error: spectrum of custom is not exact (float inference route); "
+                "dtm solve --emit-spectrum reports it with its route\n"
+            )
+        status, out, _ = run_cli(
+            capsys, ["solve", "--config", str(path), "--format", "json", "--emit-spectrum"]
+        )
+        payload = json.loads(out)
+        assert payload["inference"]["method"] == "float"
+        assert payload["spectrum"]["order"] == 12
+
 
 class TestConfigHandling:
     def test_defaults_from_example_flag(self):

@@ -428,25 +428,38 @@ class TestInferMissingSeed:
         )
         result = infer_missing_seed(zero, 0, MARCH_IN_N, closure, order)
         assert result.method == "float"
-        assert result.coeffs[2] == Fraction(1, 3)
-        assert abs(float(result.coeffs[0]) - math.pi**2 / 3) < 1e-9
-        assert result.coeffs[0].denominator <= 10**6
+        # tiny values become exact zeros, the rest are their floats' exact
+        # binary rationals: no rounding to nearby small fractions
+        assert result.coeffs == tuple(
+            0 if abs(v) <= 1e-9 else Fraction(v) for v in result.pre_snap
+        )
+        assert abs(result.coeffs[0] - math.pi**2 / 3) < 1e-9
+        assert abs(result.coeffs[2] - Fraction(1, 3)) < 1e-15
         assert result.residual < 1e-9
 
-    def test_snap_denominator_env_override(self, monkeypatch):
-        order = 12
+    def test_consistent_exact_route_stands(self, monkeypatch):
+        # u = sin x sinh y + sin 6x sinh 6y at its derived working order 85:
+        # the exact layer is consistent, and its float closure residual
+        # (2.9e-6) is rounding noise, so the float route must not run
+        order = 85
         zero = [Fraction(0)] * (order + 1)
-        closure = EdgeCondition(
-            "y=pi", "neumann",
-            FuncSpec(kind="polynomial", poly_coeffs=(0, 0, Fraction(1, 3))),
-        )
-        monkeypatch.setenv("DTM_SEED_SNAP_DENOM", "10")
+        closure = EdgeCondition("y=pi", "dirichlet", FuncSpec(terms=(
+            FuncSpec(kind="sin", sym_amp=FuncSpec(kind="sinh")),
+            FuncSpec(kind="sin", arg_scale=6, sym_amp=FuncSpec(kind="sinh", arg_scale=6)),
+        )))
+
+        def no_float_route(*args):
+            raise AssertionError("float route entered")
+
+        monkeypatch.setattr("dtm2d.solver._infer_float", no_float_route)
         result = infer_missing_seed(zero, 0, MARCH_IN_N, closure, order)
-        # no denominator-10 rational sits within tolerance of pi^2/3, so the
-        # entry keeps its exact float value instead
-        assert result.coeffs[0].denominator > 10**6
-        assert result.coeffs[2] == Fraction(1, 3)
-        assert abs(float(result.coeffs[0]) - math.pi**2 / 3) < 1e-9
+        assert result.method == "exact"
+        assert result.residual > 1e-9
+        sin_x = taylor_coeffs(FuncSpec(kind="sin"), order)
+        sin_6x = taylor_coeffs(FuncSpec(kind="sin", arg_scale=6), order)
+        # U(m, 1) for m < order; the last entry lies outside the triangle
+        expected = tuple(a + 6 * b for a, b in zip(sin_x, sin_6x))
+        assert result.coeffs[:order] == expected[:order]
 
 
 class TestSolveModel:

@@ -14,7 +14,6 @@ from dtm2d import (
     funcspec_to_json,
     outer_product,
     taylor_coeffs,
-    taylor_coeffs_float,
     trace_value,
 )
 
@@ -139,12 +138,6 @@ class TestNumericalConsistency:
         f = FuncSpec(kind="cos", arg_scale=2, amplitude=2, sym_amp="sinh_2pi")
         t = 0.7
         assert abs(trace_value(f, t) - 2 * math.cos(2 * t) * math.sinh(2 * math.pi)) < 1e-12
-
-    def test_float_coeffs_resolve_tokens(self):
-        f = FuncSpec(kind="sin", sym_amp="cosh_pi")
-        got = taylor_coeffs_float(f, 3)
-        assert got[1] == pytest.approx(math.cosh(math.pi))
-        assert got[3] == pytest.approx(-math.cosh(math.pi) / 6)
 
 
 class TestOuterProduct:
