@@ -309,8 +309,6 @@ def run(config: RunConfig) -> tuple[int, str]:
             f"spectrum of {report.model} is not exact (float inference route); "
             f"dtm solve --emit-spectrum reports it with its route"
         )
-    rows = [_row(_solve(config, order)) for order in config.convergence_orders or ()]
-
     if config.command == "spectrum":
         if config.output_format == "csv":
             text = _spectrum_csv(report)
@@ -325,6 +323,7 @@ def run(config: RunConfig) -> tuple[int, str]:
 
     # Exit status reflects the requested order only; convergence rows at
     # lower orders are informational and carry their own per-row flag.
+    rows = [_row(_solve(config, order)) for order in config.convergence_orders or ()]
     passed = _checks_pass(report)
     if config.output_format == "json":
         payload = _report_payload(report, config)

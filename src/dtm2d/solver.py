@@ -33,7 +33,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .rules import dt_add, dt_derivative
+# Unused here; kept importable because perfbench/tracer.py wraps these names.
+from .rules import dt_add, dt_derivative  # noqa: F401
 from .spectrum import CoeffLike, DtmError, Spectrum2D, as_coeff, truncate
 from .taylor import FuncSpec, taylor_coeffs, trace_value
 
@@ -199,10 +200,33 @@ def propagate_closed_form(seed: CauchySeed, m: int, n: int) -> Fraction:
 
 
 def residual_laplacian(s: Spectrum2D) -> Spectrum2D:
-    """Spectrum of u_xx + u_yy; empty exactly when s satisfies the recurrence."""
+    """Spectrum of u_xx + u_yy; empty exactly when s satisfies the recurrence.
+
+    Entry (m, n) is (m+2)(m+1) U(m+2, n) + (n+2)(n+1) U(m, n+2).  A sum of
+    two entries is tested for cancellation by cross-multiplying numerators
+    and denominators, and only a nonzero entry becomes a Fraction.  The keys
+    come in the order of ``dt_add(dt_derivative(s, 2, 0), dt_derivative(s, 0, 2))``.
+    """
     if s.order < 2:
         raise DtmError(f"need order >= 2 to form the Laplacian, got {s.order}")
-    return dt_add(dt_derivative(s, 2, 0), dt_derivative(s, 0, 2))
+    u = s.entries
+    table: dict[tuple[int, int], Fraction] = {}
+    for (m, n), c in u.items():
+        if m < 2:
+            continue
+        a = m * (m - 1)
+        other = u.get((m - 2, n + 2))
+        if other is None:
+            table[(m - 2, n)] = a * c
+            continue
+        b = (n + 2) * (n + 1)
+        p, q = a * c.numerator * other.denominator, b * other.numerator * c.denominator
+        if p != -q:
+            table[(m - 2, n)] = Fraction(p + q, c.denominator * other.denominator)
+    for (m, n), c in u.items():
+        if n >= 2 and (m + 2, n - 2) not in u:
+            table[(m, n - 2)] = n * (n - 1) * c
+    return Spectrum2D(s.order - 2, s.origin, table)
 
 
 # --------------------------------------------------------------------------
@@ -224,10 +248,11 @@ class InferredLayer:
 def _layer_match_terms(m: int, layer_index: int, closure_kind: str, order: int):
     """Closure-match terms of one seed layer at x-degree m.
 
-    Yields (j, rational coefficient, pi power) per spectrum entry involved:
-    Dirichlet matches sum_n U(m, n) pi**n, Neumann sum_n n U(m, n) pi**(n-1).
-    The even transfer factor e = (-1)**k C(m+2k, 2k) is stepped along k by
-    the march recurrence as an exact integer; the odd one is e / (2k+1).
+    Yields (j, numerator, denominator, pi power) per spectrum entry involved,
+    the rational coefficient being numerator / denominator: Dirichlet matches
+    sum_n U(m, n) pi**n, Neumann sum_n n U(m, n) pi**(n-1).  The even
+    transfer factor e = (-1)**k C(m+2k, 2k) is stepped along k by the march
+    recurrence as an exact integer; the odd one is e / (2k+1).
     """
     e = 1
     k = 0
@@ -235,13 +260,13 @@ def _layer_match_terms(m: int, layer_index: int, closure_kind: str, order: int):
         j = m + 2 * k
         if layer_index == 0:
             if closure_kind == "dirichlet":
-                yield j, e, 2 * k
+                yield j, e, 1, 2 * k
             elif k >= 1:
-                yield j, 2 * k * e, 2 * k - 1
+                yield j, 2 * k * e, 1, 2 * k - 1
         elif closure_kind == "dirichlet":
-            yield j, Fraction(e, 2 * k + 1), 2 * k + 1
+            yield j, e, 2 * k + 1, 2 * k + 1
         else:
-            yield j, e, 2 * k
+            yield j, e, 1, 2 * k
         e = -e * (j + 1) * (j + 2) // ((2 * k + 1) * (2 * k + 2))
         k += 1
 
@@ -282,14 +307,14 @@ def _match_residual(
     worst = bound = 0.0
     for m in range(order + 1):
         lhs = size = 0.0
-        for j, coef, power in _layer_match_terms(m, 0, closure_kind, order):
+        for j, num, den, power in _layer_match_terms(m, 0, closure_kind, order):
             if layer0[j]:
-                term = float(coef) * pi_powers[power] * float0[j]
+                term = num / den * pi_powers[power] * float0[j]
                 lhs += term
                 size += abs(term)
-        for j, coef, power in _layer_match_terms(m, 1, closure_kind, order):
+        for j, num, den, power in _layer_match_terms(m, 1, closure_kind, order):
             if layer1[j]:
-                term = float(coef) * pi_powers[power] * float1[j]
+                term = num / den * pi_powers[power] * float1[j]
                 lhs += term
                 size += abs(term)
         parts = [float(q[m]) * value for q, _, value in targets]
@@ -299,6 +324,12 @@ def _match_residual(
     return worst, bound
 
 
+def _over_lcm(values: list[Fraction]) -> tuple[int, list[int]]:
+    """(D, [D * v for v in values]) with D the lcm of the values' denominators."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return denom, [v.numerator * (denom // v.denominator) for v in values]
+
+
 def _infer_exact(known, known_index, closure_kind, targets, order):
     """Match the unknown layer's pi-parity block degree-by-degree, exactly.
 
@@ -306,22 +337,41 @@ def _infer_exact(known, known_index, closure_kind, targets, order):
     max-abs violation among redundant equations (0.0 when fully consistent).
     The unknown and known layers always occupy opposite pi parities, so the
     known layer never enters these equations.
+
+    The work is done on integers.  Each target's trace and token series are
+    written as numerators over their own lcm denominators, and the targets
+    are scaled to one common denominator D, so the right side of each
+    equation is one integer over D.  An unknown entry U is fixed by its first
+    equation coef0 * U = rhs0 and becomes one Fraction at the end; a
+    redundant equation coef * U = rhs holds exactly when
+    coef * rhs0 == rhs * coef0, checked by cross-multiplying numerators and
+    denominators.  Only a mismatch builds a Fraction, to report its size.
     """
     unknown_index = 1 - known_index
-    values: list[Optional[Fraction]] = [None] * (order + 1)
+    parts = [(_over_lcm(q), _over_lcm(s)) for q, s, _ in targets]
+    denom = math.lcm(*(dq * ds for (dq, _), (ds, _) in parts))
+    scaled = [([a * (denom // (dq * ds)) for a in qn], sn) for (dq, qn), (ds, sn) in parts]
+    first: list[Optional[tuple[int, int, int]]] = [None] * (order + 1)
     inconsistency = 0.0
     for m in range(order, -1, -1):
-        for j, coef, power in _layer_match_terms(m, unknown_index, closure_kind, order):
-            rhs = Fraction(0)
-            for q, s, _ in targets:
-                if s[power] != 0:
-                    rhs += q[m] * s[power]
-            if values[j] is None:
-                values[j] = rhs / coef
-            elif coef * values[j] != rhs:
-                inconsistency = max(inconsistency, abs(float(coef * values[j] - rhs)))
-    undetermined = tuple(j for j in range(order + 1) if values[j] is None)
-    coeffs = tuple(v if v is not None else Fraction(0) for v in values)
+        for j, num, den, power in _layer_match_terms(m, unknown_index, closure_kind, order):
+            rhs = 0
+            for qn, sn in scaled:
+                if sn[power]:
+                    rhs += qn[m] * sn[power]
+            if first[j] is None:
+                first[j] = (rhs, num, den)
+                continue
+            rhs0, num0, den0 = first[j]
+            gap = num * rhs0 * den0 - rhs * num0 * den
+            if gap:  # coef * U - rhs / D, with U = rhs0 den0 / (D num0)
+                mismatch = Fraction(gap, denom * den * num0)
+                inconsistency = max(inconsistency, abs(float(mismatch)))
+    undetermined = tuple(j for j, eq in enumerate(first) if eq is None)
+    coeffs = tuple(
+        Fraction(0) if eq is None else Fraction(eq[0] * eq[2], denom * eq[1])
+        for eq in first
+    )
     return coeffs, undetermined, inconsistency
 
 
@@ -343,14 +393,14 @@ def _infer_float(known, known_index, closure_kind, targets, order):
     for m in range(order, -1, -1):
         lead: Optional[tuple[int, float]] = None
         rhs = target_f[m]
-        for j, coef, power in _layer_match_terms(m, known_index, closure_kind, order):
-            rhs -= float(coef) * pi**power * known_f[j]
-        for j, coef, power in _layer_match_terms(m, unknown_index, closure_kind, order):
+        for j, num, den, power in _layer_match_terms(m, known_index, closure_kind, order):
+            rhs -= num / den * pi**power * known_f[j]
+        for j, num, den, power in _layer_match_terms(m, unknown_index, closure_kind, order):
             if lead is None:
-                lead = (j, float(coef) * pi**power)
+                lead = (j, num / den * pi**power)
             else:
                 solved = raw[j]
-                rhs -= float(coef) * pi**power * (solved if solved is not None else 0.0)
+                rhs -= num / den * pi**power * (solved if solved is not None else 0.0)
         if lead is not None and raw[lead[0]] is None:
             raw[lead[0]] = rhs / lead[1]
     undetermined = tuple(j for j in range(order + 1) if raw[j] is None)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .rules import dt_derivative
+# Unused here; kept importable because perfbench/tracer.py wraps this name.
+from .rules import dt_derivative  # noqa: F401
 from .spectrum import DtmError, Spectrum2D
 from .taylor import FuncSpec, trace_value
 
@@ -80,25 +81,32 @@ class ReferenceSolution:
         return trace_value(self.x_factor, x) * trace_value(self.y_factor, y)
 
 
-def eval_grid(
-    s: Spectrum2D, xs: Sequence[float], ys: Sequence[float]
-) -> list[list[float]]:
-    """Evaluate the truncated double series on the tensor grid xs x ys.
+def _project(s: Spectrum2D, r: int = 0, q: int = 0) -> list[list[float]]:
+    """Float coefficient rows of d^(r+q) s / dx^r dy^q, for :func:`_horner_grid`.
 
-    Returns ``values`` with ``values[i][j]`` the series at ``(xs[i], ys[j])``.
-    The entries are projected to floats once.  For each y, every row m is
-    summed by Horner over n once; for each x, Horner over m then runs across
-    those row values.  This summation order is fixed, so every value is
-    bit-identical across runs, grid shapes and call sites.
+    Rows run from m = order down to 0, each with coefficients from high n to
+    low, order being the derivative's, s.order - r - q (at least 0).  The
+    entry from U(m, n) is (perm(m, r) perm(n, q) U.numerator) / U.denominator:
+    one correctly rounded integer division, the same float as ``float()`` of
+    the differentiated entry, without building a derivative spectrum.
     """
-    ox, oy = float(s.origin[0]), float(s.origin[1])
-    # rows from m = order down to 0, each with coefficients from high n to low
-    rows: list[list[float]] = [
-        [0.0] * (s.order - m + 1) for m in range(s.order + 1)
-    ]
+    order = max(s.order - r - q, 0)
+    rows: list[list[float]] = [[0.0] * (order - m + 1) for m in range(order + 1)]
     for (m, n), c in s.entries.items():
-        rows[m][s.order - m - n] = float(c)
+        if m >= r and n >= q:
+            i, j = m - r, n - q
+            rows[i][order - i - j] = (
+                math.perm(m, r) * math.perm(n, q) * c.numerator / c.denominator
+            )
     rows.reverse()
+    return rows
+
+
+def _horner_grid(
+    rows: list[list[float]], origin, xs: Sequence[float], ys: Sequence[float]
+) -> list[list[float]]:
+    """Sum projected rows on the tensor grid xs x ys; see :func:`eval_grid`."""
+    ox, oy = float(origin[0]), float(origin[1])
     values: list[list[float]] = [[] for _ in xs]
     for y in ys:
         dy = y - oy
@@ -117,6 +125,20 @@ def eval_grid(
     return values
 
 
+def eval_grid(
+    s: Spectrum2D, xs: Sequence[float], ys: Sequence[float]
+) -> list[list[float]]:
+    """Evaluate the truncated double series on the tensor grid xs x ys.
+
+    Returns ``values`` with ``values[i][j]`` the series at ``(xs[i], ys[j])``.
+    The entries are projected to floats once.  For each y, every row m is
+    summed by Horner over n once; for each x, Horner over m then runs across
+    those row values.  This summation order is fixed, so every value is
+    bit-identical across runs, grid shapes and call sites.
+    """
+    return _horner_grid(_project(s), s.origin, xs, ys)
+
+
 def eval2d(s: Spectrum2D, x: float, y: float) -> float:
     """Evaluate the truncated double series at (x, y); see :func:`eval_grid`."""
     return eval_grid(s, (x,), (y,))[0][0]
@@ -127,35 +149,28 @@ def boundary_residual(
 ) -> dict[str, float]:
     """Per-edge max-abs deviation of the series from the boundary traces.
 
-    Dirichlet edges compare the series itself; Neumann edges differentiate
-    the spectrum first (exact rule, no finite differencing, at most once per
-    axis) and compare the coordinate derivative.  ``samples`` equally spaced
+    Dirichlet edges compare the series itself; Neumann edges compare the
+    exact coordinate derivative (no finite differencing).  Each distinct
+    series is projected to floats once: the spectrum once for all Dirichlet
+    edges, each Neumann axis's derivative once.  ``samples`` equally spaced
     points per edge, endpoints included.
     """
     if samples < 2:
         raise DtmError(f"need at least 2 samples per edge, got {samples}")
     ts = [i * math.pi / (samples - 1) for i in range(samples)]
-    derivatives: dict[str, Spectrum2D] = {}
+    projected: dict[tuple[int, int], list[list[float]]] = {}
     out: dict[str, float] = {}
     for cond in bc.conditions:
         axis, at = cond.edge.split("=")
         level = 0.0 if at == "0" else math.pi
-        if cond.kind == "dirichlet":
-            series = s
-        elif axis in derivatives:
-            series = derivatives[axis]
-        else:
-            if s.order == 0:
-                series = Spectrum2D(0, s.origin, {})  # derivative of a constant
-            elif axis == "x":
-                series = dt_derivative(s, 1, 0)
-            else:
-                series = dt_derivative(s, 0, 1)
-            derivatives[axis] = series
+        derivative = (0, 0) if cond.kind == "dirichlet" else (1, 0) if axis == "x" else (0, 1)
+        if derivative not in projected:
+            projected[derivative] = _project(s, *derivative)
+        rows = projected[derivative]
         if axis == "x":
-            values = eval_grid(series, (level,), ts)[0]
+            values = _horner_grid(rows, s.origin, (level,), ts)[0]
         else:
-            values = [row[0] for row in eval_grid(series, ts, (level,))]
+            values = [row[0] for row in _horner_grid(rows, s.origin, ts, (level,))]
         worst = 0.0
         for t, value in zip(ts, values):
             worst = max(worst, abs(value - trace_value(cond.trace, t)))

@@ -161,6 +161,31 @@ class TestSpectrumCommand:
         assert payload["inference"]["method"] == "float"
         assert payload["spectrum"]["order"] == 12
 
+    def test_solves_only_the_requested_order(self, capsys, tmp_path, monkeypatch):
+        # convergence rows belong to the solve report; the spectrum command
+        # must not solve rungs it never prints
+        import dtm2d.cli
+
+        real = dtm2d.cli.solve_model
+        orders = []
+
+        def counting(bc, order, **kwargs):
+            orders.append(order)
+            return real(bc, order, **kwargs)
+
+        plain, with_rungs = tmp_path / "plain.json", tmp_path / "rungs.json"
+        plain.write_text(json.dumps({"model": "example1", "order": 8}))
+        with_rungs.write_text(json.dumps(
+            {"model": "example1", "order": 8, "convergence_orders": [20, 40, 60]}
+        ))
+        monkeypatch.setattr(dtm2d.cli, "solve_model", counting)
+        for fmt in ("pretty", "csv", "json"):
+            expected = run_cli(capsys, ["spectrum", "--config", str(plain), "--format", fmt])
+            orders.clear()
+            got = run_cli(capsys, ["spectrum", "--config", str(with_rungs), "--format", fmt])
+            assert orders == [8]
+            assert got == expected and got[0] == 0
+
 
 class TestConfigHandling:
     def test_defaults_from_example_flag(self):

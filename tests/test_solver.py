@@ -19,6 +19,7 @@ from dtm2d import (
     MARCH_IN_M,
     MARCH_IN_N,
     dt_add,
+    dt_derivative,
     dt_scale,
     infer_missing_seed,
     make_spectrum,
@@ -37,11 +38,13 @@ from dtm2d.solver import (
     _check_corners,
     _closure_targets,
     _even_transfer,
+    _infer_exact,
     _layer_match_terms,
     _match_residual,
     _odd_transfer,
     _trace_rounding,
 )
+from dtm2d.spectrum import Spectrum2D
 from dtm2d.taylor import TOKEN_KINDS, trace_value
 
 from conftest import (
@@ -278,7 +281,10 @@ class TestClosureMatch:
             for m in range(order + 1):
                 for layer_index in (0, 1):
                     for kind in BC_KINDS:
-                        stepped = list(_layer_match_terms(m, layer_index, kind, order))
+                        stepped = [
+                            (j, Fraction(num, den), power) for j, num, den, power
+                            in _layer_match_terms(m, layer_index, kind, order)
+                        ]
                         assert stepped == list(
                             _transfer_match_terms(m, layer_index, kind, order)
                         )
@@ -315,6 +321,99 @@ class TestClosureMatch:
         assert got == _per_term_match_residual(layer0, layer1, kind, targets, order)
 
 
+def _fraction_infer_exact(known_index, closure_kind, targets, order):
+    """Reference: the exact closure match solved and checked in Fractions."""
+    values = [None] * (order + 1)
+    inconsistency = 0.0
+    for m in range(order, -1, -1):
+        for j, num, den, power in _layer_match_terms(m, 1 - known_index, closure_kind, order):
+            coef = Fraction(num, den)
+            rhs = Fraction(0)
+            for q, s, _ in targets:
+                if s[power] != 0:
+                    rhs += q[m] * s[power]
+            if values[j] is None:
+                values[j] = rhs / coef
+            elif coef * values[j] != rhs:
+                inconsistency = max(inconsistency, abs(float(coef * values[j] - rhs)))
+    undetermined = tuple(j for j in range(order + 1) if values[j] is None)
+    coeffs = tuple(v if v is not None else Fraction(0) for v in values)
+    return coeffs, undetermined, inconsistency
+
+
+class TestInferExact:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_reference(self, data):
+        order = data.draw(st.integers(0, 40))
+        kind = data.draw(st.sampled_from(BC_KINDS))
+        known_index = data.draw(st.integers(0, 1))
+        scales = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)
+
+        def term():
+            base = data.draw(st.sampled_from(
+                ("sin", "cos", "sinh", "cosh", "exp", "polynomial", "zero")
+            ))
+            scale = data.draw(scales)
+            poly = (
+                tuple(data.draw(st.lists(small_fractions, min_size=1, max_size=6)))
+                if base == "polynomial" else None
+            )
+            # a token at the term's own scale often makes the data consistent
+            token = data.draw(st.none() | st.builds(
+                lambda kind, c: FuncSpec(kind=kind, arg_scale=c),
+                st.sampled_from(TOKEN_KINDS), st.just(scale) | scales,
+            ))
+            return FuncSpec(kind=base, arg_scale=scale, amplitude=data.draw(small_fractions),
+                            poly_coeffs=poly, sym_amp=token)
+
+        trace = FuncSpec(terms=tuple(term() for _ in range(data.draw(st.integers(1, 3)))))
+        targets = _closure_targets(trace, order)
+        assert _infer_exact(None, known_index, kind, targets, order) == _fraction_infer_exact(
+            known_index, kind, targets, order
+        )
+
+    @pytest.mark.parametrize("trace,kind,known_index,consistent", [
+        (FuncSpec(kind="cos", sym_amp="sinh_pi"), "dirichlet", 0, True),  # example1
+        (FuncSpec(kind="cos", arg_scale=2, amplitude=2, sym_amp="sinh_2pi"), "neumann", 1, True),
+        (FuncSpec(kind="cos", arg_scale=2, sym_amp="sinh_pi"), "dirichlet", 0, False),
+        (FuncSpec(terms=(
+            FuncSpec(kind="sin", sym_amp=FuncSpec(kind="sinh")),
+            FuncSpec(kind="sin", arg_scale=3, amplitude=Fraction(-2, 5),
+                     sym_amp=FuncSpec(kind="cosh", arg_scale=3)),
+        )), "neumann", 0, True),
+        (FuncSpec(kind="polynomial", poly_coeffs=(0, 0, Fraction(1, 3))), "neumann", 0, False),
+        (FuncSpec(kind="polynomial", poly_coeffs=(1, 2, 3)), "dirichlet", 1, False),
+    ])
+    def test_consistent_and_inconsistent_cases(self, trace, kind, known_index, consistent):
+        order = 44
+        targets = _closure_targets(trace, order)
+        got = _infer_exact(None, known_index, kind, targets, order)
+        assert got == _fraction_infer_exact(known_index, kind, targets, order)
+        assert (got[2] == 0.0) == consistent
+
+
+@st.composite
+def laplacian_inputs(draw):
+    """Arbitrary spectra in a random key order, some entry pairs set to cancel
+    in the Laplacian and some to cancel only partly."""
+    order = draw(st.integers(2, 14))
+    rng = draw(st.randoms(use_true_random=False))
+    keys = [(m, n) for m in range(order + 1) for n in range(order + 1 - m)]
+    rng.shuffle(keys)
+    table = {
+        key: Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 60))
+        for key in keys if rng.random() < 0.6
+    }
+    for m, n in keys:
+        if m + n + 2 <= order and (m + 2, n) in table and rng.random() < 0.5:
+            # (m+2)(m+1) U(m+2, n) + (n+2)(n+1) U(m, n+2) = 0, or a near miss
+            ratio = Fraction((m + 2) * (m + 1), (n + 2) * (n + 1))
+            table[(m, n + 2)] = -ratio * table[(m + 2, n)] * rng.choice([1, 1, 2])
+    origin = draw(st.sampled_from([(0, 0), (Fraction(1, 3), -2)]))
+    return Spectrum2D(order, origin, table)
+
+
 class TestResidualLaplacian:
     def test_harmonic_polynomial(self):
         s = make_spectrum(3, [(2, 0, 1), (0, 2, -1)])  # x^2 - y^2
@@ -328,6 +427,14 @@ class TestResidualLaplacian:
     def test_order_too_small(self):
         with pytest.raises(DtmError):
             residual_laplacian(make_spectrum(1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(laplacian_inputs())
+    def test_equals_sum_of_second_derivatives(self, s):
+        got = residual_laplacian(s)
+        expected = dt_add(dt_derivative(s, 2, 0), dt_derivative(s, 0, 2))
+        assert (got.order, got.origin) == (expected.order, expected.origin)
+        assert list(got.entries.items()) == list(expected.entries.items())
 
 
 def _model_closure(model_id):

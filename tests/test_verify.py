@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtm2d import (
+    BoundarySpec,
     CauchySeed,
     DtmError,
+    EdgeCondition,
     FuncSpec,
     GridSpec,
     MARCH_IN_N,
@@ -27,6 +29,7 @@ from dtm2d import (
     spectrum_diff,
     taylor_coeffs,
 )
+from dtm2d.taylor import trace_value
 
 from conftest import (
     MODEL_FORMULAS,
@@ -118,6 +121,46 @@ class TestEvalGrid:
                 assert math.copysign(1.0, value) == math.copysign(1.0, expected)
 
 
+EDGE_NAMES = ("x=0", "x=pi", "y=0", "y=pi")
+
+
+def edgewise_boundary_residual(s, bc, samples):
+    """Reference: each edge evaluates its own series, a Neumann edge the
+    derivative spectrum built by dt_derivative."""
+    ts = [i * math.pi / (samples - 1) for i in range(samples)]
+    out = {}
+    for cond in bc.conditions:
+        axis, at = cond.edge.split("=")
+        level = 0.0 if at == "0" else math.pi
+        if cond.kind == "dirichlet":
+            series = s
+        elif s.order == 0:
+            series = make_spectrum(0, origin=s.origin)
+        else:
+            series = dt_derivative(s, 1, 0) if axis == "x" else dt_derivative(s, 0, 1)
+        if axis == "x":
+            values = eval_grid(series, (level,), ts)[0]
+        else:
+            values = [row[0] for row in eval_grid(series, ts, (level,))]
+        worst = 0.0
+        for t, value in zip(ts, values):
+            worst = max(worst, abs(value - trace_value(cond.trace, t)))
+        out[cond.edge] = worst
+    return out
+
+
+big_fractions = st.builds(
+    Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-10**30, 10**30), st.one_of(small_fractions, big_fractions))
+def test_integer_scaled_projection_is_float_of_fraction(f, c):
+    # the projection writes (perm(m, r) perm(n, q) c.numerator) / c.denominator
+    assert (f * c.numerator) / c.denominator == float(f * c)
+
+
 class TestBoundaryResidual:
     def test_structural_zero_edge_example4(self):
         report = solve_example(4, 30)
@@ -130,8 +173,6 @@ class TestBoundaryResidual:
         assert res["y=pi"] < 1e-10
 
     def test_zero_spectrum_vs_zero_traces(self):
-        from dtm2d import BoundarySpec, EdgeCondition
-
         bc = BoundarySpec(tuple(
             EdgeCondition(edge, "dirichlet", FuncSpec(kind="zero"))
             for edge in ("x=0", "x=pi", "y=0", "y=pi")
@@ -139,23 +180,60 @@ class TestBoundaryResidual:
         res = boundary_residual(make_spectrum(6), bc, 11)
         assert all(v == 0.0 for v in res.values())
 
-    def test_neumann_edges_differentiate_once_per_axis(self, monkeypatch):
+    @pytest.mark.parametrize("kinds,expected", [
+        (("dirichlet",) * 4, [(0, 0)]),
+        (("neumann",) * 4, [(0, 1), (1, 0)]),
+        (("neumann", "neumann", "dirichlet", "dirichlet"), [(0, 0), (1, 0)]),
+        (("dirichlet", "neumann", "dirichlet", "neumann"), [(0, 0), (0, 1), (1, 0)]),
+    ], ids=["dirichlet", "neumann", "neumann_x", "mixed"])
+    def test_projects_each_distinct_series_once(self, monkeypatch, kinds, expected):
         import dtm2d.verify
 
-        real = dtm2d.verify.dt_derivative
+        real = dtm2d.verify._project
         calls = []
 
-        def counting(s, r, q):
+        def counting(s, r=0, q=0):
             calls.append((r, q))
             return real(s, r, q)
 
-        bc = model_catalog()["example3"].bc
-        assert all(c.kind == "neumann" for c in bc.conditions)
+        bc = BoundarySpec(tuple(
+            EdgeCondition(edge, kind, FuncSpec(kind="zero"))
+            for edge, kind in zip(EDGE_NAMES, kinds)
+        ))
         spectrum = solve_example(3, 20).spectrum
-        monkeypatch.setattr(dtm2d.verify, "dt_derivative", counting)
+        monkeypatch.setattr(dtm2d.verify, "_project", counting)
         res = boundary_residual(spectrum, bc, 11)
-        assert sorted(calls) == [(0, 1), (1, 0)]
-        assert sorted(res) == ["x=0", "x=pi", "y=0", "y=pi"]
+        assert sorted(calls) == expected
+        assert sorted(res) == list(EDGE_NAMES)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_edgewise_derivative_reference(self, data):
+        order = data.draw(st.one_of(st.integers(0, 2), st.integers(3, 16)))
+        rng = data.draw(st.randoms(use_true_random=False))
+        entries = [
+            (m, n, Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)))
+            for m in range(order + 1)
+            for n in range(order + 1 - m)
+            if rng.random() < 0.6
+        ]
+        origin = data.draw(st.sampled_from([(0, 0), (1, 0)]) | st.tuples(
+            nonzero_origins, nonzero_origins))
+        s = make_spectrum(order, entries, origin)
+        traces = st.builds(
+            lambda kind, c, a: FuncSpec(kind=kind, arg_scale=c, amplitude=a),
+            st.sampled_from(("sin", "cos", "sinh", "cosh", "zero")),
+            st.fractions(Fraction(1, 4), 3, max_denominator=4), small_fractions,
+        )
+        bc = BoundarySpec(tuple(
+            EdgeCondition(edge, data.draw(st.sampled_from(("dirichlet", "neumann"))),
+                          data.draw(traces))
+            for edge in data.draw(st.permutations(EDGE_NAMES))
+        ))
+        samples = data.draw(st.integers(2, 9))
+        got = boundary_residual(s, bc, samples)
+        expected = edgewise_boundary_residual(s, bc, samples)
+        assert list(got.items()) == list(expected.items())
 
     def test_samples_validation(self):
         bc = model_catalog()["example1"].bc
