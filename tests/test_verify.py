@@ -1,5 +1,7 @@
 """Series evaluation, residual measurement and spectrum comparison."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -27,6 +29,7 @@ from dtm2d import (
     propagate,
     solve_example,
     spectrum_diff,
+    spectrum_to_json,
     taylor_coeffs,
 )
 from dtm2d.taylor import trace_value
@@ -350,3 +353,32 @@ class TestGridAndReference:
                     "cos(-2x)*cosh(2y)", "cos(2/0x)*cosh(y)", 5):
             with pytest.raises(DtmError):
                 ReferenceSolution(bad)
+
+
+def golden_digest():
+    """sha256 over each catalog spectrum at its default order and the repr of
+    its series, x-derivative and y-derivative values on the 21x21 grid and on
+    the four 41-point edges.  Only +, * and correctly rounded integer
+    division produce these floats, so the digest is the same on every
+    platform; it fixes the evaluator's summation order."""
+    grid = GridSpec.uniform(21)
+    ts = tuple(i * math.pi / 40 for i in range(41))
+    meshes = [
+        (grid.x_points, grid.y_points),
+        ((0.0,), ts), ((math.pi,), ts), (ts, (0.0,)), (ts, (math.pi,)),
+    ]
+    h = hashlib.sha256()
+    for model_id in sorted(model_catalog()):
+        s = solve_example(model_id).spectrum
+        h.update(json.dumps(spectrum_to_json(s), sort_keys=True).encode())
+        for series in (s, dt_derivative(s, 1, 0), dt_derivative(s, 0, 1)):
+            for xs, ys in meshes:
+                h.update(repr(eval_grid(series, xs, ys)).encode())
+    return h.hexdigest()
+
+
+GOLDEN = "4ce66b0b4b9f4828d924cf7a088a5f6645d2247083152962adc6ab6a9ae6e506"
+
+
+def test_golden_digest():
+    assert golden_digest() == GOLDEN
