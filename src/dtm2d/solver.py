@@ -297,26 +297,27 @@ def _match_residual(
     """Max-abs float mismatch of the per-degree closure match, all degrees,
     and a bound on its rounding: per degree, 2**-53 * (order + len(targets) +
     8) times the sum of the terms' magnitudes (at most order + len(targets) + 2
-    terms of at most five roundings each; Higham, ch. 3)."""
+    terms of at most five roundings each; Higham, ch. 3).  Degree m reaches
+    only j = m + 2k, so a layer without a nonzero entry of m's parity at or
+    above m is not walked: the same terms are summed in the same order."""
     pi_powers = [math.pi**p for p in range(order + 1)]
-    layer0 = list(layer0)
-    layer1 = list(layer1)
-    float0 = [float(c) for c in layer0]
-    float1 = [float(c) for c in layer1]
+    layers = []
+    for index, layer in enumerate((list(layer0), list(layer1))):
+        top = [max((j for j, c in enumerate(layer) if c and j % 2 == p), default=-1)
+               for p in (0, 1)]
+        layers.append((index, layer, [float(c) for c in layer], top))
     unit = (order + len(targets) + 8) * 2.0**-53
     worst = bound = 0.0
     for m in range(order + 1):
         lhs = size = 0.0
-        for j, num, den, power in _layer_match_terms(m, 0, closure_kind, order):
-            if layer0[j]:
-                term = num / den * pi_powers[power] * float0[j]
-                lhs += term
-                size += abs(term)
-        for j, num, den, power in _layer_match_terms(m, 1, closure_kind, order):
-            if layer1[j]:
-                term = num / den * pi_powers[power] * float1[j]
-                lhs += term
-                size += abs(term)
+        for index, layer, floats, top in layers:
+            if m > top[m % 2]:
+                continue
+            for j, num, den, power in _layer_match_terms(m, index, closure_kind, order):
+                if layer[j]:
+                    term = num / den * pi_powers[power] * floats[j]
+                    lhs += term
+                    size += abs(term)
         parts = [float(q[m]) * value for q, _, value in targets]
         rhs = sum(parts)
         worst = max(worst, abs(lhs - rhs))

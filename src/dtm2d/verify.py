@@ -82,47 +82,49 @@ class ReferenceSolution:
 
 
 def _project(s: Spectrum2D, r: int = 0, q: int = 0) -> list[list[float]]:
-    """Float coefficient rows of d^(r+q) s / dx^r dy^q, for :func:`_horner_grid`.
+    """Float coefficient rows of d^(r+q) s / dx^r dy^q, for :func:`_row_sums`.
 
-    Rows run from m = order down to 0, each with coefficients from high n to
-    low, order being the derivative's, s.order - r - q (at least 0).  The
+    Rows run from the highest stored m down to 0, each from its highest
+    stored n down to 0 (empty without entries): Horner from 0.0 stays +0.0
+    through the trimmed +0.0 slots, so no value or sign of zero changes.  The
     entry from U(m, n) is (perm(m, r) perm(n, q) U.numerator) / U.denominator:
     one correctly rounded integer division, the same float as ``float()`` of
     the differentiated entry, without building a derivative spectrum.
     """
-    order = max(s.order - r - q, 0)
-    rows: list[list[float]] = [[0.0] * (order - m + 1) for m in range(order + 1)]
+    top = [-1] * (s.order + 1)  # highest stored n per derivative row
+    for m, n in s.entries:
+        if m >= r and n - q > top[m - r]:
+            top[m - r] = n - q
+    while top and top[-1] < 0:
+        top.pop()
+    rows: list[list[float]] = [[0.0] * (t + 1) for t in top]
     for (m, n), c in s.entries.items():
         if m >= r and n >= q:
             i, j = m - r, n - q
-            rows[i][order - i - j] = (
+            rows[i][top[i] - j] = (
                 math.perm(m, r) * math.perm(n, q) * c.numerator / c.denominator
             )
     rows.reverse()
     return rows
 
 
-def _horner_grid(
-    rows: list[list[float]], origin, xs: Sequence[float], ys: Sequence[float]
-) -> list[list[float]]:
-    """Sum projected rows on the tensor grid xs x ys; see :func:`eval_grid`."""
-    ox, oy = float(origin[0]), float(origin[1])
-    values: list[list[float]] = [[] for _ in xs]
-    for y in ys:
-        dy = y - oy
-        row_sums: list[float] = []
-        for coeffs in rows:
-            row = 0.0
-            for coeff in coeffs:
-                row = row * dy + coeff
-            row_sums.append(row)
-        for x, out in zip(xs, values):
-            dx = x - ox
-            total = 0.0
-            for row in row_sums:
-                total = total * dx + row
-            out.append(total)
-    return values
+def _row_sums(rows: list[list[float]], dy: float) -> list[float]:
+    """Each projected row summed by Horner over n at offset dy."""
+    sums: list[float] = []
+    for coeffs in rows:
+        row = 0.0
+        for coeff in coeffs:
+            row = row * dy + coeff
+        sums.append(row)
+    return sums
+
+
+def _horner(row_sums: list[float], dx: float) -> float:
+    """Horner over m across one y's row sums at offset dx."""
+    total = 0.0
+    for row in row_sums:
+        total = total * dx + row
+    return total
 
 
 def eval_grid(
@@ -131,12 +133,19 @@ def eval_grid(
     """Evaluate the truncated double series on the tensor grid xs x ys.
 
     Returns ``values`` with ``values[i][j]`` the series at ``(xs[i], ys[j])``.
-    The entries are projected to floats once.  For each y, every row m is
-    summed by Horner over n once; for each x, Horner over m then runs across
-    those row values.  This summation order is fixed, so every value is
-    bit-identical across runs, grid shapes and call sites.
+    The stored entries are projected to trimmed float rows once.  For each y,
+    every row m is summed by Horner over n once; for each x, Horner over m
+    then runs across those row values.  This summation order is fixed, so
+    every value is bit-identical across runs, grid shapes and call sites.
     """
-    return _horner_grid(_project(s), s.origin, xs, ys)
+    rows = _project(s)
+    ox, oy = float(s.origin[0]), float(s.origin[1])
+    values: list[list[float]] = [[] for _ in xs]
+    for y in ys:
+        sums = _row_sums(rows, y - oy)
+        for x, out in zip(xs, values):
+            out.append(_horner(sums, x - ox))
+    return values
 
 
 def eval2d(s: Spectrum2D, x: float, y: float) -> float:
@@ -152,13 +161,16 @@ def boundary_residual(
     Dirichlet edges compare the series itself; Neumann edges compare the
     exact coordinate derivative (no finite differencing).  Each distinct
     series is projected to floats once: the spectrum once for all Dirichlet
-    edges, each Neumann axis's derivative once.  ``samples`` equally spaced
-    points per edge, endpoints included.
+    edges, each Neumann axis's derivative once; its row sums are formed once
+    per distinct y, shared by all edges (values as :func:`eval_grid`'s, bit
+    for bit).  ``samples`` equally spaced points per edge, endpoints included.
     """
     if samples < 2:
         raise DtmError(f"need at least 2 samples per edge, got {samples}")
     ts = [i * math.pi / (samples - 1) for i in range(samples)]
+    ox, oy = float(s.origin[0]), float(s.origin[1])
     projected: dict[tuple[int, int], list[list[float]]] = {}
+    sums: dict[tuple[tuple[int, int], float], list[float]] = {}
     out: dict[str, float] = {}
     for cond in bc.conditions:
         axis, at = cond.edge.split("=")
@@ -166,11 +178,11 @@ def boundary_residual(
         derivative = (0, 0) if cond.kind == "dirichlet" else (1, 0) if axis == "x" else (0, 1)
         if derivative not in projected:
             projected[derivative] = _project(s, *derivative)
-        rows = projected[derivative]
-        if axis == "x":
-            values = _horner_grid(rows, s.origin, (level,), ts)[0]
-        else:
-            values = [row[0] for row in _horner_grid(rows, s.origin, ts, (level,))]
+        points = [(level, t) for t in ts] if axis == "x" else [(t, level) for t in ts]
+        for _, y in points:
+            if (derivative, y) not in sums:
+                sums[derivative, y] = _row_sums(projected[derivative], y - oy)
+        values = [_horner(sums[derivative, y], x - ox) for x, y in points]
         worst = 0.0
         for t, value in zip(ts, values):
             worst = max(worst, abs(value - trace_value(cond.trace, t)))

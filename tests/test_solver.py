@@ -241,27 +241,30 @@ def _transfer_match_terms(m, layer_index, closure_kind, order):
 
 
 def _per_term_match_residual(layer0, layer1, closure_kind, targets, order):
-    """Closure-match residual converting every factor, pi power and entry per term.
+    """Closure-match residual and its rounding bound, converting every factor,
+    pi power and entry per term and walking every layer at every degree.
 
     ``targets`` holds (coefficients, token kind or None, token scale c); the
     token's value is kind(c * pi) from ``math``.
     """
     pi = math.pi
-    worst = 0.0
+    unit = (order + len(targets) + 8) * 2.0**-53
+    worst = bound = 0.0
     for m in range(order + 1):
-        lhs = 0.0
-        for j, coef, power in _transfer_match_terms(m, 0, closure_kind, order):
-            if layer0[j]:
-                lhs += float(coef) * pi**power * float(layer0[j])
-        for j, coef, power in _transfer_match_terms(m, 1, closure_kind, order):
-            if layer1[j]:
-                lhs += float(coef) * pi**power * float(layer1[j])
-        rhs = sum(
+        lhs = size = 0.0
+        for index, layer in enumerate((layer0, layer1)):
+            for j, coef, power in _transfer_match_terms(m, index, closure_kind, order):
+                if layer[j]:
+                    term = float(coef) * pi**power * float(layer[j])
+                    lhs += term
+                    size += abs(term)
+        parts = [
             float(q[m]) * (1.0 if kind is None else getattr(math, kind)(float(c) * pi))
             for q, kind, c in targets
-        )
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        ]
+        worst = max(worst, abs(lhs - sum(parts)))
+        bound = max(bound, unit * (size + sum(map(abs, parts))))
+    return worst, bound
 
 
 class TestClosureMatch:
@@ -289,7 +292,7 @@ class TestClosureMatch:
                             _transfer_match_terms(m, layer_index, kind, order)
                         )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_match_residual_bit_identical_to_per_term(self, data):
         order = data.draw(st.integers(0, 30))
@@ -301,7 +304,13 @@ class TestClosureMatch:
             values = data.draw(st.lists(entry, min_size=order + 1, max_size=order + 1))
             return [v / fact(j) if decay else v for j, v in enumerate(values)]
 
-        layer0, layer1 = layer(), layer()
+        def seed_layer():
+            # dense, parity-sparse (as the catalog's layers are) or all zero
+            shape = data.draw(st.sampled_from(("dense", "even", "odd", "zero")))
+            keep = {"dense": (0, 1), "even": (0,), "odd": (1,), "zero": ()}[shape]
+            return [v if j % 2 in keep else Fraction(0) for j, v in enumerate(layer())]
+
+        layer0, layer1 = seed_layer(), seed_layer()
         scales = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)
         targets = [
             (layer(), data.draw(st.sampled_from((None,) + TOKEN_KINDS)), data.draw(scales))
@@ -317,8 +326,20 @@ class TestClosureMatch:
             for q, token, c in targets
         )
         resolved = _closure_targets(FuncSpec(terms=terms), order) if terms else []
-        got, _ = _match_residual(layer0, layer1, kind, resolved, order)
+        got = _match_residual(layer0, layer1, kind, resolved, order)
         assert got == _per_term_match_residual(layer0, layer1, kind, targets, order)
+
+    @pytest.mark.parametrize("kind", BC_KINDS)
+    def test_match_residual_lone_entry_layers(self, kind):
+        # a lone entry at j is reached by the degrees m <= j of its parity; at
+        # j = 0 and 1 the top degree m = j carries the whole residual
+        for order in range(5):
+            for index in (0, 1):
+                for j in range(order + 1):
+                    layers = [[Fraction(0)] * (order + 1) for _ in range(2)]
+                    layers[index][j] = Fraction(3, 2)
+                    got = _match_residual(*layers, kind, [], order)
+                    assert got == _per_term_match_residual(*layers, kind, [], order)
 
 
 def _fraction_infer_exact(known_index, closure_kind, targets, order):

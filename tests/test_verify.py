@@ -106,6 +106,27 @@ def half_zero_spectra(draw):
     return make_spectrum(order, entries, (draw(nonzero_origins), draw(nonzero_origins)))
 
 
+@st.composite
+def parity_sparse_spectra(draw):
+    """Orders 0..25 with entries on one (m, n) parity class only, so every
+    other row is empty and every other entry of a row is zero; some rows are
+    headed by an entry that rounds to +-0.0.  Origins at 0, 1 or a rational."""
+    order = draw(st.integers(0, 25))
+    pm, pn = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    rng = draw(st.randoms(use_true_random=False))
+    entries = []
+    for m in range(pm, order + 1, 2):
+        ns = [n for n in range(pn, order + 1 - m, 2) if rng.random() < 0.7]
+        for n in ns:
+            if n == ns[-1] and rng.random() < 0.4:
+                c = Fraction(rng.choice((-1, 1)), 10**400)
+            else:
+                c = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            entries.append((m, n, c))
+    origin = st.sampled_from((0, 1)) | nonzero_origins
+    return make_spectrum(order, entries, (draw(origin), draw(origin)))
+
+
 class TestEvalGrid:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -122,6 +143,31 @@ class TestEvalGrid:
                 expected = horner_point(s, x, y)
                 assert value == expected
                 assert math.copysign(1.0, value) == math.copysign(1.0, expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_parity_sparse_bit_identical_to_per_point_horner(self, data):
+        s = data.draw(parity_sparse_spectra())
+        ox, oy = float(s.origin[0]), float(s.origin[1])
+        # offsets below, at and above the origin: dx, dy < 0, == 0 and > 0
+        xs = [ox - 0.75, ox, ox + 0.5, 0.0]
+        ys = [oy - 0.75, oy, oy + 0.5, math.pi]
+        for x, row in zip(xs, eval_grid(s, xs, ys)):
+            for y, value in zip(ys, row):
+                expected = horner_point(s, x, y)
+                assert value == expected
+                assert math.copysign(1.0, value) == math.copysign(1.0, expected)
+
+    def test_negative_zero_head_keeps_its_sign(self):
+        # the one entry rounds to -0.0; only dx < 0 and dy < 0 carry the sign
+        s = make_spectrum(3, [(0, 0, Fraction(-1, 10**400))], origin=(1, 1))
+        pts = (0.0, 1.0, 2.0)
+        values = eval_grid(s, pts, pts)
+        signs = [[math.copysign(1.0, v) for v in row] for row in values]
+        assert signs == [[-1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
+        for x, row in zip(pts, values):
+            for y, value in zip(pts, row):
+                assert math.copysign(1.0, horner_point(s, x, y)) == math.copysign(1.0, value)
 
 
 EDGE_NAMES = ("x=0", "x=pi", "y=0", "y=pi")
@@ -208,6 +254,29 @@ class TestBoundaryResidual:
         res = boundary_residual(spectrum, bc, 11)
         assert sorted(calls) == expected
         assert sorted(res) == list(EDGE_NAMES)
+
+    @pytest.mark.parametrize("samples", [2, 11, 12, 14, 41])
+    @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+    def test_sums_rows_once_per_series_and_y(self, monkeypatch, kind, samples):
+        import dtm2d.verify
+
+        real = dtm2d.verify._row_sums
+        calls = []
+
+        def counting(rows, dy):
+            calls.append((id(rows), dy))
+            return real(rows, dy)
+
+        bc = BoundarySpec(tuple(
+            EdgeCondition(edge, kind, FuncSpec(kind="zero")) for edge in EDGE_NAMES
+        ))
+        spectrum = solve_example(3, 20).spectrum
+        monkeypatch.setattr(dtm2d.verify, "_row_sums", counting)
+        boundary_residual(spectrum, bc, samples)
+        ts = {i * math.pi / (samples - 1) for i in range(samples)}
+        # (k pi) / k != pi for k = 11, 13, ...: the y=pi level is one more y
+        expected = len(ts | {0.0, math.pi}) if kind == "dirichlet" else len(ts) + 2
+        assert len(calls) == len(set(calls)) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
