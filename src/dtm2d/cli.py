@@ -122,6 +122,22 @@ def _parse_orders(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad order list {text!r}; expected a,b,c") from exc
 
 
+def _parse_order(text: str) -> int:
+    """What ``--order`` accepts (argparse's ``int``), as a ConfigError."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad order {text!r}; expected an integer") from exc
+
+
+def _flag_text(key: str, value) -> str:
+    """A config-file value as its flag's text: a JSON integer as its digits,
+    a string as it is; any other value is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ConfigError(f"config {key} must be an integer or a string, got {value!r}")
+    return str(value)
+
+
 def parse_config(args: argparse.Namespace) -> RunConfig:
     """Merge config-file values and command-line flags (flags win)."""
     file_cfg: dict = {}
@@ -161,31 +177,36 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         known = sorted(catalog) + ["custom"]
         raise ConfigError(f"unknown model {model!r}; choose from {known}")
 
+    # File values go through the flags' parsers; null reads as absent.
+    file_order, file_grid, file_conv = (
+        file_cfg.get(key) for key in ("order", "grid", "convergence_orders")
+    )
     order = getattr(args, "order", None)
-    if order is None:
-        order = file_cfg.get("order")
+    if order is None and file_order is not None:
+        order = _parse_order(_flag_text("order", file_order))
     if order is None:
         order = (custom or catalog[model]).default_order
 
     fmt = getattr(args, "format", None) or file_cfg.get("format", "pretty")
-    grid = (
-        _parse_grid(args.grid)
-        if getattr(args, "grid", None) is not None
-        else int(file_cfg.get("grid", 21))
-    )
+    grid = getattr(args, "grid", None)
+    if grid is None and file_grid is not None:
+        grid = _flag_text("grid", file_grid)
+    grid = _parse_grid(grid) if grid is not None else 21
     conv = getattr(args, "convergence_orders", None)
-    if conv is not None:
-        conv_orders = _parse_orders(conv)
-    elif "convergence_orders" in file_cfg:
-        conv_orders = tuple(int(v) for v in file_cfg["convergence_orders"])
+    if conv is None and isinstance(file_conv, list):  # the JSON form of a,b,c
+        conv_orders = tuple(
+            _parse_order(_flag_text("convergence_orders", v)) for v in file_conv
+        )
     else:
-        conv_orders = None
+        if conv is None and file_conv is not None:
+            conv = _flag_text("convergence_orders", file_conv)
+        conv_orders = _parse_orders(conv) if conv is not None else None
     emit = bool(getattr(args, "emit_spectrum", False) or file_cfg.get("emit_spectrum", False))
     out = getattr(args, "out", None) or file_cfg.get("out")
 
     return RunConfig(
         model=model,
-        order=int(order),
+        order=order,
         command=getattr(args, "command", "solve"),
         custom=custom,
         output_format=fmt,

@@ -35,7 +35,8 @@ from typing import Iterable, Optional
 
 # Unused here; kept importable because perfbench/tracer.py wraps these names.
 from .rules import dt_add, dt_derivative  # noqa: F401
-from .spectrum import CoeffLike, DtmError, Spectrum2D, as_coeff, truncate
+from .spectrum import truncate  # noqa: F401
+from .spectrum import CoeffLike, DtmError, Spectrum2D, as_coeff
 from .taylor import FuncSpec, taylor_coeffs, trace_value
 
 EDGES = ("x=0", "x=pi", "y=0", "y=pi")
@@ -145,31 +146,35 @@ class CauchySeed:
         object.__setattr__(self, "layer1", tuple(as_coeff(c) for c in self.layer1))
 
 
-def _transpose(s: Spectrum2D) -> Spectrum2D:
-    swapped = {(n, m): v for (m, n), v in s.entries.items()}
-    return Spectrum2D(s.order, (s.origin[1], s.origin[0]), swapped)
-
-
 def propagate(seed: CauchySeed) -> Spectrum2D:
     """March the Laplace recurrence from the seed layers to the full triangle.
 
-    Marching in n fills U(m, n+2) = -[(m+1)(m+2) / ((n+1)(n+2))] U(m+2, n);
-    marching in m is the transposed computation.
+    Marching in n fills U(m, n+2) = -[(m+1)(m+2) / ((n+1)(n+2))] U(m+2, n),
+    each entry one Fraction built from the integer numerator and denominator
+    of that product.  Marching in m is the transposed computation: its keys
+    are written transposed as they are made, in the same order.
     """
     n_order = seed.order
+    swap = seed.axis == MARCH_IN_M
     table: dict[tuple[int, int], Fraction] = {}
     for m in range(n_order + 1):
         if seed.layer0[m] != 0:
-            table[(m, 0)] = seed.layer0[m]
+            table[(0, m) if swap else (m, 0)] = seed.layer0[m]
         if m + 1 <= n_order and seed.layer1[m] != 0:
-            table[(m, 1)] = seed.layer1[m]
+            table[(1, m) if swap else (m, 1)] = seed.layer1[m]
+    rows = [seed.layer0, seed.layer1]  # rows[n][m] = U(m, n) in marching orientation
     for n in range(n_order - 1):
+        prev_row, row = rows[n], [0] * (n_order - n - 1)
+        b = (n + 1) * (n + 2)
         for m in range(n_order - n - 1):
-            prev = table.get((m + 2, n))
-            if prev is not None:
-                table[(m, n + 2)] = -Fraction((m + 1) * (m + 2), (n + 1) * (n + 2)) * prev
-    result = Spectrum2D(n_order, (Fraction(0), Fraction(0)), table)
-    return _transpose(result) if seed.axis == MARCH_IN_M else result
+            prev = prev_row[m + 2]
+            if prev:
+                row[m] = value = Fraction(
+                    -(m + 1) * (m + 2) * prev.numerator, b * prev.denominator
+                )
+                table[(n + 2, m) if swap else (m, n + 2)] = value
+        rows.append(row)
+    return Spectrum2D(n_order, (Fraction(0), Fraction(0)), table)
 
 
 def _even_transfer(m: int, k: int) -> int:
@@ -652,7 +657,8 @@ def solve_model(
     constant term of the Neumann trace on the edge through the origin across
     the marching axis; without one it stays 0 and the warning says so.
     Inference runs at :func:`_working_order` so that closure series are
-    resolved; the result is truncated back to ``order``.
+    resolved; both seed layers are then cut to ``order`` and only that
+    triangle is marched.
     """
     from . import verify  # local import: verify depends on solver types
 
@@ -702,10 +708,10 @@ def solve_model(
             note = f"{entry} set to 0: {cross.edge} has no exact Neumann trace"
             warning = note if warning is None else f"{warning}; {note}"
 
+    # The recurrence keeps the total degree m + n, so entries up to the order
+    # need only the first order + 1 entries of each seed layer.
     layers = (known, unknown) if known_index == 0 else (unknown, known)
-    seed = CauchySeed(axis, working, tuple(layers[0]), tuple(layers[1]))
-    full = propagate(seed)
-    spectrum = truncate(full, order)
+    spectrum = propagate(CauchySeed(axis, order, *(tuple(x[: order + 1]) for x in layers)))
 
     if order >= 2:
         pde_residual = residual_laplacian(spectrum)

@@ -114,27 +114,21 @@ _LEGACY_TOKENS = {
 }
 
 
-def _base_coeff(kind: str, poly: Optional[tuple[Fraction, ...]], k: int) -> Fraction:
-    if kind == "sin":
-        return Fraction((-1) ** ((k - 1) // 2), math.factorial(k)) if k % 2 else Fraction(0)
-    if kind == "cos":
-        return Fraction((-1) ** (k // 2), math.factorial(k)) if k % 2 == 0 else Fraction(0)
-    if kind == "sinh":
-        return Fraction(1, math.factorial(k)) if k % 2 else Fraction(0)
-    if kind == "cosh":
-        return Fraction(1, math.factorial(k)) if k % 2 == 0 else Fraction(0)
-    if kind == "exp":
-        return Fraction(1, math.factorial(k))
-    if kind == "polynomial":
-        return poly[k] if k < len(poly) else Fraction(0)
-    return Fraction(0)  # zero
+# Transcendental kinds: (first k, step in k, sign factor per step) of their
+# nonzero coefficients +-1 / k!.
+_SERIES = {"sin": (1, 2, -1), "cos": (0, 2, -1), "sinh": (1, 2, 1), "cosh": (0, 2, 1),
+           "exp": (0, 1, 1)}
 
 
 def taylor_coeffs(f: FuncSpec, order: int) -> list[Fraction]:
     """Exact coefficients of the trace at t = 0, length order + 1.
 
-    Coefficient k is f^(k)(0)/k!.  Traces carrying a symbolic amplitude are
-    rejected: the exact layer never multiplies tokens into rationals.
+    Coefficient k is f^(k)(0)/k!.  For a transcendental term it is
+    amplitude * sign * scale**k / k!, stepped from k to the next nonzero k as
+    an integer numerator and denominator, so each nonzero coefficient is one
+    Fraction; a polynomial term scales its own coefficients.  Traces carrying
+    a symbolic amplitude are rejected: the exact layer never multiplies
+    tokens into rationals.
     """
     if order < 0:
         raise DtmError(f"order must be non-negative, got {order}")
@@ -145,12 +139,25 @@ def taylor_coeffs(f: FuncSpec, order: int) -> list[Fraction]:
                 "trace carries a symbolic amplitude; exact coefficients are "
                 "not defined (use trace_value)"
             )
-        scale_pow = Fraction(1)
-        for k in range(order + 1):
-            base = _base_coeff(term.kind, term.poly_coeffs, k)
-            if base != 0:
-                out[k] += term.amplitude * scale_pow * base
-            scale_pow *= term.arg_scale
+        if term.kind == "zero" or term.amplitude == 0:
+            continue
+        if term.kind == "polynomial":
+            scale_pow = Fraction(1)
+            for k, c in enumerate(term.poly_coeffs[: order + 1]):
+                if c != 0:
+                    out[k] += term.amplitude * scale_pow * c
+                scale_pow *= term.arg_scale
+            continue
+        start, step, flip = _SERIES[term.kind]
+        p, q = term.arg_scale.numerator, term.arg_scale.denominator
+        num = term.amplitude.numerator * p**start  # start! == 1
+        den = term.amplitude.denominator * q**start
+        for k in range(start, order + 1, step):
+            if num:
+                value = Fraction(num, den)
+                out[k] = out[k] + value if out[k] else value
+            num *= flip * p**step
+            den *= q**step * math.perm(k + step, step)
     return out
 
 

@@ -332,6 +332,54 @@ class TestConfigHandling:
         assert status == 1
         assert "grid" in err
 
+    @pytest.mark.parametrize("key, value, fragment", [
+        ("order", "abc", "bad order 'abc'"),
+        ("order", 12.7, "order must be an integer"),
+        ("order", True, "order must be an integer"),
+        ("grid", "7x5", "grid must be square"),
+        ("grid", "seven", "bad grid size"),
+        ("grid", [7, 7], "grid must be an integer"),
+        ("convergence_orders", "4,x", "bad order list"),
+        ("convergence_orders", [4, "x"], "bad order 'x'"),
+        ("convergence_orders", [4, 6.5], "convergence_orders must be an integer"),
+        ("convergence_orders", [4, None], "convergence_orders must be an integer"),
+        ("convergence_orders", {"a": 4}, "convergence_orders must be an integer"),
+    ])
+    def test_malformed_file_value_is_a_config_error(self, capsys, tmp_path, key, value, fragment):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"model": "example1", "order": 8, key: value}))
+        status, out, err = run_cli(capsys, ["solve", "--config", str(path)])
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: ") and fragment in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value, flags", [
+        ("order", "12", ["--order", "12"]),
+        ("grid", "7x7", ["--grid", "7x7"]),
+        ("grid", 7, ["--grid", "7"]),
+        ("convergence_orders", 20, ["--convergence-orders", "20"]),
+        ("convergence_orders", "6,10", ["--convergence-orders", "6,10"]),
+        ("convergence_orders", [6, 10], ["--convergence-orders", "6,10"]),
+    ])
+    def test_file_value_parsed_as_its_flag(self, capsys, tmp_path, key, value, flags):
+        base = {"model": "example1", "order": 8, "format": "json"}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**base, key: value}))
+        from_file = run_cli(capsys, ["solve", "--config", str(path)])
+        path.write_text(json.dumps(base))
+        from_flags = run_cli(capsys, ["solve", "--config", str(path), *flags])
+        assert from_file == from_flags
+        assert from_file[0] in (0, 2) and from_file[2] == ""
+
+    def test_null_file_values_take_the_defaults(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(
+            {"model": "example1", "order": None, "grid": None, "convergence_orders": None}
+        ))
+        config = parse_config(build_parser().parse_args(["solve", "--config", str(path)]))
+        assert (config.order, config.grid, config.convergence_orders) == (36, 21, None)
+
 
 class TestVerifyCommand:
     def test_all_models_pass(self, capsys):

@@ -44,7 +44,7 @@ from dtm2d.solver import (
     _odd_transfer,
     _trace_rounding,
 )
-from dtm2d.spectrum import Spectrum2D
+from dtm2d.spectrum import Spectrum2D, truncate
 from dtm2d.taylor import TOKEN_KINDS, trace_value
 
 from conftest import (
@@ -96,7 +96,80 @@ def random_seeds(draw):
     return CauchySeed(axis, order, layer0, layer1)
 
 
+def _reference_propagate(seed):
+    """Entry by entry as three Fractions (factor, negation, product), march-in-m
+    by transposing the finished march-in-n table: the independent reference."""
+    order = seed.order
+    table = {}
+    for m in range(order + 1):
+        if seed.layer0[m] != 0:
+            table[(m, 0)] = seed.layer0[m]
+        if m + 1 <= order and seed.layer1[m] != 0:
+            table[(m, 1)] = seed.layer1[m]
+    for n in range(order - 1):
+        for m in range(order - n - 1):
+            prev = table.get((m + 2, n))
+            if prev is not None:
+                table[(m, n + 2)] = -Fraction((m + 1) * (m + 2), (n + 1) * (n + 2)) * prev
+    if seed.axis == MARCH_IN_M:
+        table = {(n, m): v for (m, n), v in table.items()}
+    return Spectrum2D(order, (Fraction(0), Fraction(0)), table)
+
+
+# Layer entries: zeros, small and huge numerators of either sign, and
+# denominators up to about 10**60.
+layer_entries = st.one_of(
+    st.just(Fraction(0)),
+    small_fractions,
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**60)),
+)
+
+
+@st.composite
+def deep_seeds(draw):
+    order = draw(st.integers(0, 40))
+    axis = draw(st.sampled_from([MARCH_IN_N, MARCH_IN_M]))
+    layers = [
+        tuple(draw(layer_entries) for _ in range(order + 1)) for _ in range(2)
+    ]
+    return CauchySeed(axis, order, *layers)
+
+
 class TestPropagate:
+    @settings(max_examples=60, deadline=None)
+    @given(deep_seeds())
+    def test_bit_identical_to_three_fraction_reference(self, seed):
+        got, expected = propagate(seed), _reference_propagate(seed)
+        assert list(got.entries.items()) == list(expected.entries.items())
+        assert all(type(v) is Fraction for v in got.entries.values())
+        assert (got.order, got.origin) == (expected.order, expected.origin)
+
+    @settings(max_examples=60, deadline=None)
+    @given(deep_seeds(), st.data())
+    def test_cut_layers_equal_truncated_march(self, seed, data):
+        cut = data.draw(st.integers(0, seed.order))
+        small = CauchySeed(
+            seed.axis, cut, seed.layer0[: cut + 1], seed.layer1[: cut + 1]
+        )
+        got, expected = propagate(small), truncate(propagate(seed), cut)
+        assert list(got.entries.items()) == list(expected.entries.items())
+        assert got.order == expected.order == cut
+
+    def test_solve_marches_only_the_requested_order(self, monkeypatch):
+        import dtm2d.solver
+
+        real, orders = dtm2d.solver.propagate, []
+
+        def recording(seed):
+            orders.append(seed.order)
+            return real(seed)
+
+        monkeypatch.setattr(dtm2d.solver, "propagate", recording)
+        report = solve_example(1, 20)
+        assert report.working_order == 44
+        assert orders == [20]
+        assert report.spectrum == enumerate_spectrum(formula_example1, 20)
+
     def test_example1_from_known_seed(self):
         order = 6
         layer0 = tuple(

@@ -24,7 +24,60 @@ fact = math.factorial
 LIBRARY_KINDS = ("sin", "cos", "sinh", "cosh", "exp")
 
 
+def _reference_coeffs(f, order):
+    """Coefficient k as amplitude * scale**k * f^(k)(0) / k!, summed over the
+    terms, with each derivative at 0 read off the kind."""
+    derivative_at_0 = {
+        "sin": lambda k: (0, 1, 0, -1)[k % 4],
+        "cos": lambda k: (1, 0, -1, 0)[k % 4],
+        "sinh": lambda k: k % 2,
+        "cosh": lambda k: 1 - k % 2,
+        "exp": lambda k: 1,
+        "zero": lambda k: 0,
+    }
+    out = [Fraction(0)] * (order + 1)
+    for term in f.flat_terms():
+        for k in range(order + 1):
+            if term.kind == "polynomial":
+                base = term.poly_coeffs[k] if k < len(term.poly_coeffs) else 0
+            else:
+                base = Fraction(derivative_at_0[term.kind](k), fact(k))
+            out[k] += term.amplitude * term.arg_scale**k * base
+    return out
+
+
+wide_fractions = st.fractions(
+    min_value=Fraction(-40), max_value=Fraction(40), max_denominator=60
+)
+
+
+@st.composite
+def library_terms(draw):
+    kind = draw(st.sampled_from(LIBRARY_KINDS + ("polynomial", "zero")))
+    poly = None
+    if kind == "polynomial":
+        poly = tuple(draw(st.lists(wide_fractions, min_size=1, max_size=90)))
+    amplitude = draw(st.one_of(st.just(Fraction(0)), wide_fractions))
+    return FuncSpec(kind=kind, arg_scale=draw(wide_fractions), amplitude=amplitude,
+                    poly_coeffs=poly)
+
+
 class TestTaylorCoeffs:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(library_terms(), min_size=1, max_size=3), st.integers(0, 80))
+    def test_matches_factorial_reference(self, terms, order):
+        f = terms[0] if len(terms) == 1 else FuncSpec(terms=tuple(terms))
+        got = taylor_coeffs(f, order)
+        assert got == _reference_coeffs(f, order)
+        assert all(type(c) is Fraction for c in got)
+
+    @pytest.mark.parametrize("kind", LIBRARY_KINDS)
+    @pytest.mark.parametrize("scale", [Fraction(-3, 7), Fraction(0), Fraction(5, 2)])
+    def test_every_kind_at_order_80(self, kind, scale):
+        for amplitude in (Fraction(0), Fraction(-9, 4)):
+            f = FuncSpec(kind=kind, arg_scale=scale, amplitude=amplitude)
+            assert taylor_coeffs(f, 80) == _reference_coeffs(f, 80)
+
     def test_sinh_order5(self):
         got = taylor_coeffs(FuncSpec(kind="sinh"), 5)
         assert got == [0, 1, 0, Fraction(1, 6), 0, Fraction(1, 120)]
