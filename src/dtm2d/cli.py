@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .solver import (
     BoundarySpec,
@@ -85,12 +85,16 @@ class RunConfig:
                 )
 
 
-def _parse_bc(data: dict) -> BoundarySpec:
+def _parse_bc(data) -> BoundarySpec:
+    if not isinstance(data, dict):
+        raise ConfigError(f"custom bc must be an object, got {data!r}")
     conditions = []
     for edge in EDGES:
         if edge not in data:
             raise ConfigError(f"custom bc is missing edge {edge!r}")
         entry = data[edge]
+        if not isinstance(entry, dict):
+            raise ConfigError(f"bc[{edge!r}] must be an object, got {entry!r}")
         kind = entry.get("kind")
         trace = entry.get("trace")
         if kind is None or trace is None:
@@ -115,13 +119,6 @@ def _parse_grid(text: str) -> int:
     return sizes[0]
 
 
-def _parse_orders(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad order list {text!r}; expected a,b,c") from exc
-
-
 def _parse_order(text: str) -> int:
     """What ``--order`` accepts (argparse's ``int``), as a ConfigError."""
     try:
@@ -130,12 +127,27 @@ def _parse_order(text: str) -> int:
         raise ConfigError(f"bad order {text!r}; expected an integer") from exc
 
 
+def _parse_orders(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(_parse_order(p) for p in text.split(","))
+    except ConfigError as exc:
+        raise ConfigError(f"bad order list {text!r}: {exc}") from exc
+
+
+def _parse_out(text: Optional[str]) -> Optional[Path]:
+    """``--out`` as a path; an empty or absent one means stdout."""
+    return Path(text) if text else None
+
+
 def _flag_text(key: str, value) -> str:
     """A config-file value as its flag's text: a JSON integer as its digits,
-    a string as it is; any other value is an error."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ConfigError(f"config {key} must be an integer or a string, got {value!r}")
-    return str(value)
+    a string as it is, and for ``convergence_orders`` a list of these joined
+    by commas; any other value is an error."""
+    items = value if key == "convergence_orders" and isinstance(value, list) else [value]
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, (int, str)):
+            raise ConfigError(f"config {key} must be an integer or a string, got {item!r}")
+    return ",".join(str(item) for item in items)
 
 
 def parse_config(args: argparse.Namespace) -> RunConfig:
@@ -152,12 +164,11 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
 
-    model = None
     if getattr(args, "example", None) is not None:
         model = f"example{args.example}"
     elif "model" in file_cfg:
         model = str(file_cfg["model"])
-    if model is None:
+    else:
         raise ConfigError("no model: pass --example 1..4 or a config with 'model'")
 
     catalog = model_catalog()
@@ -177,43 +188,26 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         known = sorted(catalog) + ["custom"]
         raise ConfigError(f"unknown model {model!r}; choose from {known}")
 
-    # File values go through the flags' parsers; null reads as absent.
-    file_order, file_grid, file_conv = (
-        file_cfg.get(key) for key in ("order", "grid", "convergence_orders")
-    )
-    order = getattr(args, "order", None)
-    if order is None and file_order is not None:
-        order = _parse_order(_flag_text("order", file_order))
-    if order is None:
-        order = (custom or catalog[model]).default_order
+    def setting(key: str, parse: Callable, default=None):
+        """The flag, else the file value as the flag's text; null reads as absent."""
+        value = getattr(args, key, None)
+        if value is None and file_cfg.get(key) is not None:
+            value = _flag_text(key, file_cfg[key])
+        return default if value is None else parse(value)
 
-    fmt = getattr(args, "format", None) or file_cfg.get("format", "pretty")
-    grid = getattr(args, "grid", None)
-    if grid is None and file_grid is not None:
-        grid = _flag_text("grid", file_grid)
-    grid = _parse_grid(grid) if grid is not None else 21
-    conv = getattr(args, "convergence_orders", None)
-    if conv is None and isinstance(file_conv, list):  # the JSON form of a,b,c
-        conv_orders = tuple(
-            _parse_order(_flag_text("convergence_orders", v)) for v in file_conv
-        )
-    else:
-        if conv is None and file_conv is not None:
-            conv = _flag_text("convergence_orders", file_conv)
-        conv_orders = _parse_orders(conv) if conv is not None else None
-    emit = bool(getattr(args, "emit_spectrum", False) or file_cfg.get("emit_spectrum", False))
-    out = getattr(args, "out", None) or file_cfg.get("out")
-
+    emit = getattr(args, "emit_spectrum", False) or file_cfg.get("emit_spectrum")
+    if emit is not None and not isinstance(emit, bool):
+        raise ConfigError(f"config emit_spectrum must be true or false, got {emit!r}")
     return RunConfig(
         model=model,
-        order=order,
+        order=setting("order", _parse_order, (custom or catalog[model]).default_order),
         command=getattr(args, "command", "solve"),
         custom=custom,
-        output_format=fmt,
-        grid=grid,
-        emit_spectrum=emit,
-        convergence_orders=conv_orders,
-        out_path=Path(out) if out is not None else None,
+        output_format=setting("format", str, "pretty"),
+        grid=setting("grid", _parse_grid, 21),
+        emit_spectrum=bool(emit),
+        convergence_orders=setting("convergence_orders", _parse_orders),
+        out_path=setting("out", _parse_out),
     )
 
 
@@ -240,39 +234,8 @@ def _checks_pass(report: ModelReport) -> bool:
     return True
 
 
-def _report_payload(report: ModelReport, config: RunConfig) -> dict:
-    residual = report.pde_residual_spectrum
-    payload = {
-        "model": report.model,
-        "order": report.order,
-        "pde_residual": "exact-zero"
-        if residual.is_zero()
-        else max(abs(float(v)) for v in residual.entries.values()),
-        "edges": {e: report.boundary_residuals[e] for e in sorted(report.boundary_residuals)},
-        "closed_form_max_err": report.closed_form_error,
-        "grid": {"x_points": config.grid, "y_points": config.grid},
-        "inference": {
-            "method": report.inference_method,
-            "residual": report.inference_residual,
-            "warning": report.warning,
-        },
-        "size": report.size,
-        "checks": {"passed": _checks_pass(report), "threshold": FLOAT_THRESHOLD},
-    }
-    if config.emit_spectrum:
-        payload["spectrum"] = spectrum_to_json(report.spectrum)
-    return payload
-
-
-def _spectrum_csv(report: ModelReport) -> str:
-    lines = ["m,n,coefficient"]
-    for (m, n), value in sorted(report.spectrum.entries.items()):
-        lines.append(f"{m},{n},{coeff_str(value)}")
-    return "\n".join(lines) + "\n"
-
-
 def _row(report: ModelReport) -> dict:
-    """One order's residuals: a row of the convergence table."""
+    """One order's residuals and verdict: what every solve and verify report shows."""
     return {
         "order": report.order,
         "edges": {e: report.boundary_residuals[e] for e in sorted(report.boundary_residuals)},
@@ -281,26 +244,48 @@ def _row(report: ModelReport) -> dict:
     }
 
 
-def _convergence_csv(rows: list[dict]) -> str:
-    lines = ["order,edge,residual,closed_form_err"]
-    for row in rows:
-        err = row["closed_form_max_err"]
-        err_text = "" if err is None else repr(err)
-        for edge in sorted(row["edges"]):
-            lines.append(f"{row['order']},{edge},{row['edges'][edge]!r},{err_text}")
-    return "\n".join(lines) + "\n"
+def _summary(row: dict) -> str:
+    """A row's worst edge and closed-form error, as the pretty reports print them."""
+    err = row["closed_form_max_err"]
+    err_text = "n/a" if err is None else f"{err:.3e}"
+    return f"boundary {max(row['edges'].values()):.3e}  closed-form {err_text}"
 
 
-def _pretty(report: ModelReport, config: RunConfig, rows: list[dict]) -> str:
+def _pde_label(report: ModelReport) -> str:
+    return "exact-zero" if report.pde_residual_is_zero else "NONZERO"
+
+
+def _text(out: dict | list[str]) -> str:
+    """A JSON payload as sorted, indented JSON; a list of lines as text."""
+    if isinstance(out, dict):
+        return json.dumps(out, indent=2, sort_keys=True) + "\n"
+    return "\n".join(out) + "\n"
+
+
+def _spectrum(report: ModelReport, fmt: str) -> dict | list[str]:
+    """The ``dtm spectrum`` report; a spectrum that is not exact is refused."""
+    if report.inference_method != "exact":
+        raise InferenceError(
+            f"spectrum of {report.model} is not exact (float inference route); "
+            f"dtm solve --emit-spectrum reports it with its route"
+        )
+    if fmt == "json":
+        return spectrum_to_json(report.spectrum)
+    entries = sorted(report.spectrum.entries.items())
+    if fmt == "csv":
+        return ["m,n,coefficient"] + [f"{m},{n},{coeff_str(v)}" for (m, n), v in entries]
+    head = f"spectrum of {report.model} at order {report.order}"
+    return [head] + [f"  U({m},{n}) = {v}" for (m, n), v in entries]
+
+
+def _pretty(report: ModelReport, row: dict, rows: list[dict]) -> list[str]:
     out = [
         f"model {report.model}  order {report.order}  entries {report.size}",
-        f"  pde residual     : "
-        + ("exact-zero" if report.pde_residual_is_zero else "NONZERO"),
+        f"  pde residual     : {_pde_label(report)}",
     ]
-    for edge in sorted(report.boundary_residuals):
-        out.append(f"  edge {edge:6s}      : {report.boundary_residuals[edge]:.3e}")
-    if report.closed_form_error is not None:
-        out.append(f"  closed-form error: {report.closed_form_error:.3e}")
+    out += [f"  edge {edge:6s}      : {value:.3e}" for edge, value in row["edges"].items()]
+    if row["closed_form_max_err"] is not None:
+        out.append(f"  closed-form error: {row['closed_form_max_err']:.3e}")
     out.append(
         f"  inference        : {report.inference_method}"
         f" (residual {report.inference_residual:.3e})"
@@ -309,86 +294,68 @@ def _pretty(report: ModelReport, config: RunConfig, rows: list[dict]) -> str:
         out.append(f"  warning          : {report.warning}")
     if rows:
         out.append("  convergence:")
-        for row in rows:
-            err = row["closed_form_max_err"]
-            err_text = "n/a" if err is None else f"{err:.3e}"
-            worst_edge = max(row["edges"].values())
-            out.append(
-                f"    order {row['order']:3d}: boundary {worst_edge:.3e}"
-                f"  closed-form {err_text}"
-            )
-    status = "PASS" if _checks_pass(report) else "FAIL"
+        out += [f"    order {r['order']:3d}: {_summary(r)}" for r in rows]
+    status = "PASS" if row["passed"] else "FAIL"
     out.append(f"  status           : {status} (threshold {FLOAT_THRESHOLD:.0e})")
-    return "\n".join(out) + "\n"
+    return out
 
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one resolved config; returns (exit status, report text)."""
     report = _solve(config, config.order)
-    if config.command == "spectrum" and report.inference_method != "exact":
-        raise InferenceError(
-            f"spectrum of {report.model} is not exact (float inference route); "
-            f"dtm solve --emit-spectrum reports it with its route"
-        )
     if config.command == "spectrum":
-        if config.output_format == "csv":
-            text = _spectrum_csv(report)
-        elif config.output_format == "json":
-            text = json.dumps(spectrum_to_json(report.spectrum), indent=2, sort_keys=True) + "\n"
-        else:
-            lines = [f"spectrum of {report.model} at order {report.order}"]
-            for (m, n), value in sorted(report.spectrum.entries.items()):
-                lines.append(f"  U({m},{n}) = {value}")
-            text = "\n".join(lines) + "\n"
-        return 0, text
+        return 0, _text(_spectrum(report, config.output_format))
 
     # Exit status reflects the requested order only; convergence rows at
     # lower orders are informational and carry their own per-row flag.
+    row = _row(report)
     rows = [_row(_solve(config, order)) for order in config.convergence_orders or ()]
-    passed = _checks_pass(report)
     if config.output_format == "json":
-        payload = _report_payload(report, config)
+        out = {
+            **row,
+            "model": report.model,
+            "pde_residual": "exact-zero"
+            if report.pde_residual_is_zero
+            else max(abs(float(v)) for v in report.pde_residual_spectrum.entries.values()),
+            "grid": {"x_points": config.grid, "y_points": config.grid},
+            "inference": {
+                "method": report.inference_method,
+                "residual": report.inference_residual,
+                "warning": report.warning,
+            },
+            "size": report.size,
+        }
+        out["checks"] = {"passed": out.pop("passed"), "threshold": FLOAT_THRESHOLD}
+        if config.emit_spectrum:
+            out["spectrum"] = spectrum_to_json(report.spectrum)
         if rows:
-            payload["convergence"] = rows
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            out["convergence"] = rows
     elif config.output_format == "csv":
-        text = _convergence_csv(rows or [_row(report)])
+        out = ["order,edge,residual,closed_form_err"]
+        for r in rows or [row]:
+            err = "" if r["closed_form_max_err"] is None else repr(r["closed_form_max_err"])
+            out += [f"{r['order']},{edge},{value!r},{err}" for edge, value in r["edges"].items()]
     else:
-        text = _pretty(report, config, rows)
-    return (0 if passed else 2), text
+        out = _pretty(report, row, rows)
+    return (0 if row["passed"] else 2), _text(out)
 
 
 def _run_verify(fmt: str) -> tuple[int, str]:
     """Solve all four built-in models at their default orders and check them."""
-    lines = []
-    results = []
+    rows, lines = [], []
     for model_id, model in sorted(model_catalog().items()):
         report = _solve(RunConfig(model=model_id, order=model.default_order), model.default_order)
-        ok = _checks_pass(report)
-        results.append(
-            {
-                "model": model_id,
-                "order": report.order,
-                "pde_residual": "exact-zero" if report.pde_residual_is_zero else "nonzero",
-                "max_boundary_residual": max(report.boundary_residuals.values()),
-                "closed_form_max_err": report.closed_form_error,
-                "passed": ok,
-            }
-        )
+        row = _row(report)
         lines.append(
-            f"{model_id}  order {report.order:3d}  "
-            f"pde {'exact-zero' if report.pde_residual_is_zero else 'NONZERO':10s}  "
-            f"boundary {max(report.boundary_residuals.values()):.3e}  "
-            f"closed-form {report.closed_form_error:.3e}  "
-            f"{'PASS' if ok else 'FAIL'}"
+            f"{model_id}  order {row['order']:3d}  pde {_pde_label(report):10s}  "
+            f"{_summary(row)}  {'PASS' if row['passed'] else 'FAIL'}"
         )
-    all_ok = all(r["passed"] for r in results)
-    if fmt == "json":
-        text = json.dumps({"models": results, "passed": all_ok}, indent=2, sort_keys=True) + "\n"
-    else:
-        lines.append("all models PASS" if all_ok else "FAILURES present")
-        text = "\n".join(lines) + "\n"
-    return (0 if all_ok else 2), text
+        row["max_boundary_residual"] = max(row.pop("edges").values())
+        rows.append(dict(row, model=model_id, pde_residual=_pde_label(report).lower()))
+    passed = all(r["passed"] for r in rows)
+    lines.append("all models PASS" if passed else "FAILURES present")
+    out = {"models": rows, "passed": passed} if fmt == "json" else lines
+    return (0 if passed else 2), _text(out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,24 +385,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "verify":
             status, text = _run_verify(args.format)
-            out_path = Path(args.out) if args.out else None
+            out_path = _parse_out(args.out)
         else:
             config = parse_config(args)
             status, text = run(config)
             out_path = config.out_path
-        if out_path is not None:
-            try:
-                out_path.write_text(text, encoding="utf-8")
-            except OSError as exc:
-                print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-                return 1
-        else:
+        if out_path is None:
             sys.stdout.write(text)
+            return status
+        try:
+            out_path.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc}") from exc
         return status
     except InferenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

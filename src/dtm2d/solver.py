@@ -33,6 +33,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from . import verify
+
 # Unused here; kept importable because perfbench/tracer.py wraps these names.
 from .rules import dt_add, dt_derivative  # noqa: F401
 from .spectrum import truncate  # noqa: F401
@@ -660,8 +662,6 @@ def solve_model(
     resolved; both seed layers are then cut to ``order`` and only that
     triangle is marched.
     """
-    from . import verify  # local import: verify depends on solver types
-
     if order < 0:
         raise DtmError(f"order must be non-negative, got {order}")
     axis = _choose_axis(bc)

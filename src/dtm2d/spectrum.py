@@ -92,10 +92,6 @@ class Spectrum2D:
             raise DtmError(f"negative index ({m},{n})")
         return self.entries.get((m, n), Fraction(0))
 
-    def keys(self) -> list[tuple[int, int]]:
-        """Stored (m, n) keys in lexicographic order."""
-        return sorted(self.entries)
-
     def is_zero(self) -> bool:
         return not self.entries
 

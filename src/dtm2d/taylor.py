@@ -221,13 +221,18 @@ def funcspec_to_json(f: FuncSpec) -> dict:
 
 def funcspec_from_json(data: Mapping) -> FuncSpec:
     """Inverse of :func:`funcspec_to_json`; ``sym_amp`` may also be a legacy name."""
-    if "terms" in data:
-        return FuncSpec(terms=tuple(funcspec_from_json(t) for t in data["terms"]))
+    if not isinstance(data, Mapping):
+        raise DtmError(f"trace JSON must be an object, got {data!r}")
+    terms, poly = data.get("terms"), data.get("poly_coeffs")
+    for key, value in (("terms", terms), ("poly_coeffs", poly)):
+        if value is not None and not isinstance(value, (list, tuple)):
+            raise DtmError(f"trace JSON {key!r} must be a list, got {value!r}")
+    if terms is not None:
+        return FuncSpec(terms=tuple(funcspec_from_json(t) for t in terms))
     try:
         kind = data["kind"]
     except KeyError as exc:
         raise DtmError("trace JSON needs a 'kind' or 'terms' field") from exc
-    poly = data.get("poly_coeffs")
     token = data.get("sym_amp")
     return FuncSpec(
         kind=kind,

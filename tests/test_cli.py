@@ -344,6 +344,9 @@ class TestConfigHandling:
         ("convergence_orders", [4, 6.5], "convergence_orders must be an integer"),
         ("convergence_orders", [4, None], "convergence_orders must be an integer"),
         ("convergence_orders", {"a": 4}, "convergence_orders must be an integer"),
+        ("emit_spectrum", "no", "emit_spectrum must be true or false, got 'no'"),
+        ("emit_spectrum", 1, "emit_spectrum must be true or false, got 1"),
+        ("out", ["report.json"], "out must be an integer or a string"),
     ])
     def test_malformed_file_value_is_a_config_error(self, capsys, tmp_path, key, value, fragment):
         path = tmp_path / "model.json"
@@ -361,6 +364,8 @@ class TestConfigHandling:
         ("convergence_orders", 20, ["--convergence-orders", "20"]),
         ("convergence_orders", "6,10", ["--convergence-orders", "6,10"]),
         ("convergence_orders", [6, 10], ["--convergence-orders", "6,10"]),
+        ("format", "csv", ["--format", "csv"]),
+        ("emit_spectrum", True, ["--emit-spectrum"]),
     ])
     def test_file_value_parsed_as_its_flag(self, capsys, tmp_path, key, value, flags):
         base = {"model": "example1", "order": 8, "format": "json"}
@@ -372,6 +377,26 @@ class TestConfigHandling:
         assert from_file == from_flags
         assert from_file[0] in (0, 2) and from_file[2] == ""
 
+    @pytest.mark.parametrize("edge_entry, fragment", [
+        (None, "custom bc must be an object, got 5"),
+        (5, "bc['y=0'] must be an object, got 5"),
+        ({"kind": "dirichlet", "trace": 5}, "trace JSON must be an object, got 5"),
+        ({"kind": "dirichlet", "trace": {"terms": 5}}, "'terms' must be a list, got 5"),
+        ({"kind": "dirichlet", "trace": {"kind": "polynomial", "poly_coeffs": 5}},
+         "'poly_coeffs' must be a list, got 5"),
+    ], ids=["bc", "edge", "trace", "terms", "poly_coeffs"])
+    def test_malformed_bc_is_a_config_error(self, capsys, tmp_path, edge_entry, fragment):
+        zero = {"kind": "dirichlet", "trace": {"kind": "zero"}}
+        bc = {edge: zero for edge in ("y=0", "y=pi", "x=0", "x=pi")}
+        bc = 5 if edge_entry is None else {**bc, "y=0": edge_entry}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"model": "custom", "order": 8, "bc": bc}))
+        status, out, err = run_cli(capsys, ["solve", "--config", str(path)])
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: ") and fragment in err
+        assert "Traceback" not in err
+
     def test_null_file_values_take_the_defaults(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(
@@ -379,6 +404,37 @@ class TestConfigHandling:
         ))
         config = parse_config(build_parser().parse_args(["solve", "--config", str(path)]))
         assert (config.order, config.grid, config.convergence_orders) == (36, 21, None)
+
+
+class TestReportRows:
+    """Every report shows the same per-order facts as a standalone solve."""
+
+    def test_verify_rows_match_solve(self, capsys):
+        _, out, _ = run_cli(capsys, ["verify", "--format", "json"])
+        for row in json.loads(out)["models"]:
+            example = row["model"].removeprefix("example")
+            _, solved, _ = run_cli(capsys, ["solve", "--example", example, "--format", "json"])
+            solved = json.loads(solved)
+            assert row["order"] == solved["order"]
+            assert row["closed_form_max_err"] == solved["closed_form_max_err"]
+            assert row["passed"] == solved["checks"]["passed"]
+            assert row["max_boundary_residual"] == max(solved["edges"].values())
+
+    @pytest.mark.parametrize("example", ["1", "3"])
+    def test_convergence_rows_match_solves(self, capsys, example):
+        common = ["solve", "--example", example, "--format", "json", "--grid", "9"]
+        _, out, _ = run_cli(capsys, [*common, "--convergence-orders", "4,12,24"])
+        rows = json.loads(out)["convergence"]
+        assert [row["order"] for row in rows] == [4, 12, 24]
+        for row in rows:
+            _, solved, _ = run_cli(capsys, [*common, "--order", str(row["order"])])
+            solved = json.loads(solved)
+            assert row == {
+                "order": solved["order"],
+                "edges": solved["edges"],
+                "closed_form_max_err": solved["closed_form_max_err"],
+                "passed": solved["checks"]["passed"],
+            }
 
 
 class TestVerifyCommand:
