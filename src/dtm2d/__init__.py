@@ -28,6 +28,7 @@ from .solver import (
     InferredLayer,
     Model,
     ModelReport,
+    closed_form_model,
     infer_missing_seed,
     model_catalog,
     propagate,

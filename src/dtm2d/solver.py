@@ -70,6 +70,7 @@ __all__ = [
     "MARCH_IN_N",
     "Model",
     "ModelReport",
+    "closed_form_model",
     "infer_missing_seed",
     "model_catalog",
     "propagate",
@@ -338,7 +339,7 @@ def _over_lcm(values: list[Fraction]) -> tuple[int, list[int]]:
     return denom, [v.numerator * (denom // v.denominator) for v in values]
 
 
-def _infer_exact(known, known_index, closure_kind, targets, order):
+def _infer_exact(known_index, closure_kind, targets, order):
     """Match the unknown layer's pi-parity block degree-by-degree, exactly.
 
     Returns (coeffs, undetermined, inconsistency) where inconsistency is the
@@ -476,7 +477,7 @@ def infer_missing_seed(
 
     if method != "float":
         coeffs, undetermined, inconsistency = _infer_exact(
-            known, known_layer_index, kind, targets, order
+            known_layer_index, kind, targets, order
         )
         if inconsistency == 0.0:
             return finish(coeffs, "exact", undetermined)
@@ -550,9 +551,9 @@ _CORNERS = (
 )
 
 
-# The kind whose function is the derivative of each transcendental kind, up
-# to sign.
-_DERIVATIVE_KIND = {"sin": "cos", "cos": "sin", "sinh": "cosh", "cosh": "sinh", "exp": "exp"}
+# Each transcendental kind's derivative: d/dt f(t) = sign * f'(t) as (f', sign).
+_DERIVATIVE_KIND = {"sin": ("cos", 1), "cos": ("sin", -1), "sinh": ("cosh", 1),
+                    "cosh": ("sinh", 1), "exp": ("exp", 1)}
 
 
 def _base_error(term: FuncSpec, t: float) -> tuple[float, float]:
@@ -570,7 +571,7 @@ def _base_error(term: FuncSpec, t: float) -> tuple[float, float]:
             size += (2 * n + 3 * i) * abs(float(c)) * abs(u) ** i
         return abs(value), size
     value = abs(getattr(math, term.kind)(u))
-    return value, value + 3 * abs(u * getattr(math, _DERIVATIVE_KIND[term.kind])(u))
+    return value, value + 3 * abs(u * getattr(math, _DERIVATIVE_KIND[term.kind][0])(u))
 
 
 def _trace_rounding(f: FuncSpec, t: float) -> float:
@@ -738,66 +739,50 @@ def solve_model(
     )
 
 
-def _dirichlet(edge: str, trace: FuncSpec) -> EdgeCondition:
-    return EdgeCondition(edge, "dirichlet", trace)
+def _edge_trace(reference: verify.ReferenceSolution, edge: str, kind: str) -> FuncSpec:
+    """Per term a*F(x)*G(y), the factor along the edge times the factor across
+    it (Neumann: its derivative) at the edge's level: the exact value at 0, a
+    token at pi.  Terms that vanish at 0 are dropped."""
+    axis, level = edge.split("=")
+    parts = []
+    for a, f, g in reference.terms:
+        along, across = (g, f) if axis == "x" else (f, g)
+        if kind == "neumann":
+            derivative, sign = _DERIVATIVE_KIND[across.kind]
+            a *= sign * across.arg_scale
+            across = replace(across, kind=derivative)
+        if level == "pi":
+            parts.append(replace(along, amplitude=a, sym_amp=across))
+        elif at_zero := taylor_coeffs(across, 0)[0]:
+            parts.append(replace(along, amplitude=a * at_zero))
+    if len(parts) > 1:
+        return FuncSpec(terms=tuple(parts))
+    return parts[0] if parts else FuncSpec(kind="zero")
 
 
-def _neumann(edge: str, trace: FuncSpec) -> EdgeCondition:
-    return EdgeCondition(edge, "neumann", trace)
+def closed_form_model(model_id: str, reference: str, kind: str, default_order: int) -> Model:
+    """The model whose four edges, all of one kind, carry the traces of the
+    closed form ``reference`` (a :class:`verify.ReferenceSolution` descriptor),
+    in the order y=0, y=pi, x=0, x=pi.  All-Neumann data pin u(0, 0)."""
+    ref = verify.ReferenceSolution(reference)
+    bc = BoundarySpec(tuple(EdgeCondition(edge, kind, _edge_trace(ref, edge, kind))
+                            for edge in ("y=0", "y=pi", "x=0", "x=pi")))
+    at_origin = sum(a * taylor_coeffs(f, 0)[0] * taylor_coeffs(g, 0)[0] for a, f, g in ref.terms)
+    return Model(model_id, bc, reference, default_order,
+                 at_origin if kind == "neumann" else Fraction(0))
 
 
-_ZERO = FuncSpec(kind="zero")
+_CATALOG = {model.model_id: model for model in (
+    closed_form_model("example1", "sinh(x)*cos(y)", "dirichlet", 36),
+    closed_form_model("example2", "cosh(x)*sin(y)", "dirichlet", 36),
+    closed_form_model("example3", "cos(2x)*cosh(2y)", "neumann", 60),
+    closed_form_model("example4", "cos(x)*sinh(y)", "neumann", 36),
+)}
 
 
 def model_catalog() -> dict[str, Model]:
-    """The four built-in boundary-value models and their closed forms."""
-    return {
-        "example1": Model(
-            "example1",
-            BoundarySpec((
-                _dirichlet("y=0", FuncSpec(kind="sinh")),
-                _dirichlet("y=pi", FuncSpec(kind="sinh", amplitude=-1)),
-                _dirichlet("x=0", _ZERO),
-                _dirichlet("x=pi", FuncSpec(kind="cos", sym_amp="sinh_pi")),
-            )),
-            reference="sinh(x)*cos(y)",
-            default_order=36,
-        ),
-        "example2": Model(
-            "example2",
-            BoundarySpec((
-                _dirichlet("y=0", _ZERO),
-                _dirichlet("y=pi", _ZERO),
-                _dirichlet("x=0", FuncSpec(kind="sin")),
-                _dirichlet("x=pi", FuncSpec(kind="sin", sym_amp="cosh_pi")),
-            )),
-            reference="cosh(x)*sin(y)",
-            default_order=36,
-        ),
-        "example3": Model(
-            "example3",
-            BoundarySpec((
-                _neumann("y=0", _ZERO),
-                _neumann("y=pi", FuncSpec(kind="cos", arg_scale=2, amplitude=2, sym_amp="sinh_2pi")),
-                _neumann("x=0", _ZERO),
-                _neumann("x=pi", _ZERO),
-            )),
-            reference="cos(2x)*cosh(2y)",
-            default_order=60,
-            origin_value=Fraction(1),
-        ),
-        "example4": Model(
-            "example4",
-            BoundarySpec((
-                _neumann("y=0", FuncSpec(kind="cos")),
-                _neumann("y=pi", FuncSpec(kind="cos", sym_amp="cosh_pi")),
-                _neumann("x=0", _ZERO),
-                _neumann("x=pi", _ZERO),
-            )),
-            reference="cos(x)*sinh(y)",
-            default_order=36,
-        ),
-    }
+    """The four built-in boundary-value models, derived from their closed forms."""
+    return dict(_CATALOG)
 
 
 def solve_example(model_id: str | int, order: Optional[int] = None, **kwargs) -> ModelReport:

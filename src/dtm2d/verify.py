@@ -21,8 +21,10 @@ from .taylor import FuncSpec, trace_value
 if TYPE_CHECKING:  # runtime import would be circular; solver imports verify
     from .solver import BoundarySpec
 
-_FACTOR = r"(sin|cos|sinh|cosh)\(([1-9]\d*(?:/[1-9]\d*)?)?{}\)"
-_REFERENCE = re.compile(_FACTOR.format("x") + r"\*" + _FACTOR.format("y"))
+_K, _F = r"([1-9]\d*(?:/[1-9]\d*)?)", r"(sin|cos|sinh|cosh)"
+_PRODUCT = rf"(?:{_K}\*)?{_F}\({_K}?x\)\*{_F}\({_K}?y\)"
+_TERM = re.compile(r"([+-]?)" + _PRODUCT)
+_REFERENCE = re.compile(rf"-?{_PRODUCT}(?:[+-]{_PRODUCT})*")
 
 __all__ = [
     "GridSpec",
@@ -62,23 +64,24 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """A separable closed form F(kx)*G(ky) with F, G in sin, cos, sinh, cosh
-    and k an optional positive rational, e.g. "cos(3/2x)*cosh(3/2y)"."""
+    """A closed form: a sum of signed terms a*F(kx)*G(ky), F, G in sin, cos,
+    sinh, cosh and a, k optional positive rationals, such as "cos(3/2x)*cosh(3/2y)"
+    or "sin(x)*sinh(y)-1/2*cos(2x)*cosh(2y)".  ``terms`` holds the signed (a, F, G)."""
 
     descriptor: str
-    x_factor: FuncSpec = field(init=False, repr=False)
-    y_factor: FuncSpec = field(init=False, repr=False)
+    terms: tuple[tuple[Fraction, FuncSpec, FuncSpec], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        match = isinstance(self.descriptor, str) and _REFERENCE.fullmatch(self.descriptor)
-        if not match:
-            raise DtmError(f"unknown reference {self.descriptor!r}; expected F(kx)*G(ky)")
-        f, kx, g, ky = match.groups()
-        object.__setattr__(self, "x_factor", FuncSpec(kind=f, arg_scale=kx or 1))
-        object.__setattr__(self, "y_factor", FuncSpec(kind=g, arg_scale=ky or 1))
+        if not (isinstance(self.descriptor, str) and _REFERENCE.fullmatch(self.descriptor)):
+            raise DtmError(f"unknown reference {self.descriptor!r}; expected a*F(kx)*G(ky)+...")
+        object.__setattr__(self, "terms", tuple(
+            (Fraction(sign + (a or "1")), FuncSpec(kind=f, arg_scale=kx or 1),
+             FuncSpec(kind=g, arg_scale=ky or 1))
+            for sign, a, f, kx, g, ky in _TERM.findall(self.descriptor)
+        ))
 
     def __call__(self, x: float, y: float) -> float:
-        return trace_value(self.x_factor, x) * trace_value(self.y_factor, y)
+        return sum(float(a) * trace_value(f, x) * trace_value(g, y) for a, f, g in self.terms)
 
 
 def _project(s: Spectrum2D, r: int = 0, q: int = 0) -> list[list[float]]:
@@ -193,15 +196,19 @@ def boundary_residual(
 def compare_closed_form(
     s: Spectrum2D, ref: ReferenceSolution, grid: GridSpec
 ) -> float:
-    """Max-abs error of the truncated series against the closed form, which
-    is evaluated once per x and once per y and then multiplied."""
+    """Max-abs error of the truncated series against the closed form, whose
+    terms are each evaluated once per x and once per y, multiplied and summed."""
     values = eval_grid(s, grid.x_points, grid.y_points)
-    ys = [trace_value(ref.y_factor, y) for y in grid.y_points]
+    exact = [[0.0] * len(grid.y_points) for _ in grid.x_points]
+    for a, f, g in ref.terms:
+        ys = [trace_value(g, y) for y in grid.y_points]
+        for x, row in zip(grid.x_points, exact):
+            fx = float(a) * trace_value(f, x)
+            row[:] = [u + fx * gy for u, gy in zip(row, ys)]
     worst = 0.0
-    for x, row in zip(grid.x_points, values):
-        fx = trace_value(ref.x_factor, x)
-        for gy, value in zip(ys, row):
-            worst = max(worst, abs(value - fx * gy))
+    for row, exact_row in zip(values, exact):
+        for value, u in zip(row, exact_row):
+            worst = max(worst, abs(value - u))
     return worst
 
 

@@ -67,6 +67,15 @@ def enumerate_spectrum(formula, order: int) -> Spectrum2D:
     return make_spectrum(order, entries)
 
 
+def reference_descriptor(terms) -> str:
+    """The closed-form descriptor of sum a*F(kx x)*G(ky y) over (a, F, kx, G, ky),
+    e.g. "-3/2*sin(2x)*sinh(2y)+1*cos(1x)*cosh(1y)"."""
+    return "".join(
+        f"{'-' if a < 0 else '+' if i else ''}{abs(a)}*{f}({kx}x)*{g}({ky}y)"
+        for i, (a, f, kx, g, ky) in enumerate(terms)
+    )
+
+
 # --------------------------------------------------------------------------
 # Independent polynomial oracle
 # --------------------------------------------------------------------------

@@ -246,7 +246,7 @@ def test_a7_seed_inference():
         zero = all(c == 0 for c in result.coeffs)
         ok = ok and zero
         details.append(f"{model_id} zero={zero}")
-    # the float route is well-posed for the token-free closure of example1:
+    # the float route is well-posed for the closure of example1:
     # raw (pre_snap) magnitudes stay under 1e-9, so the zero rule makes them 0
     float_result = _model_inference("example1", 44, method="float")
     pre = max(abs(v) for v in float_result.pre_snap)

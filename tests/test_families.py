@@ -1,10 +1,10 @@
 """Generated harmonic families: the whole pipeline against known spectra.
 
 u = sum_i a_i F(k_i x) G(k_i y) with (F, G) a trig function times a
-hyperbolic one (or the swap) is harmonic for every rational k_i.  All four
-boundary traces follow from u, with the values of F and G at k_i pi carried
-as amplitude tokens, and the spectrum is the sum of the outer products of
-the factors' Taylor coefficients.
+hyperbolic one (or the swap) is harmonic for every rational k_i.
+``closed_form_model`` derives all four boundary traces from u's descriptor,
+and the spectrum is the sum of the outer products of the factors' Taylor
+coefficients.
 """
 
 from functools import reduce
@@ -14,22 +14,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtm2d import (
-    BoundarySpec,
-    EdgeCondition,
     FuncSpec,
+    closed_form_model,
     dt_add,
     outer_product,
     solve_model,
     taylor_coeffs,
 )
 
+from conftest import reference_descriptor
+
 TRIG = ("sin", "cos")
 HYPERBOLIC = ("sinh", "cosh")
-# f -> (f', sign): d/dt f(t) = sign * f'(t)
-DERIVATIVE = {"sin": ("cos", 1), "cos": ("sin", -1), "sinh": ("cosh", 1), "cosh": ("sinh", 1)}
-AT_ZERO = {"sin": 0, "cos": 1, "sinh": 0, "cosh": 1}
-# edge -> (variable along the edge, level of the other variable: 0 or pi)
-EDGE_GEOMETRY = {"y=0": ("x", 0), "y=pi": ("x", "pi"), "x=0": ("y", 0), "x=pi": ("y", "pi")}
 
 # k = p/q with p <= 6 holds the derived working order to at most 85.  From
 # about k = 5 the float closure residual is rounding noise, about e**(k pi)
@@ -48,25 +44,6 @@ harmonic_terms = st.lists(
     st.builds(lambda a, fg, k: (a, fg[0], fg[1], k), amplitudes, pairs, scales),
     min_size=1, max_size=2,
 )
-
-
-def edge_trace(terms, edge: str, neumann: bool) -> FuncSpec:
-    """The Dirichlet or Neumann trace of u on one edge."""
-    along, level = EDGE_GEOMETRY[edge]
-    parts = []
-    for a, f, g, k in terms:
-        kind, across = (f, g) if along == "x" else (g, f)
-        amplitude = a
-        if neumann:  # the derivative across the edge hits the other factor
-            across, sign = DERIVATIVE[across]
-            amplitude *= sign * k
-        if level == 0:
-            parts.append(FuncSpec(kind=kind, arg_scale=k, amplitude=amplitude * AT_ZERO[across]))
-        else:
-            token = FuncSpec(kind=across, arg_scale=k)
-            parts.append(FuncSpec(kind=kind, arg_scale=k, amplitude=amplitude, sym_amp=token))
-    parts = [p for p in parts if not p.is_zero()]
-    return FuncSpec(terms=tuple(parts)) if parts else FuncSpec(kind="zero")
 
 
 def expected_spectrum(terms, order: int):
@@ -94,13 +71,10 @@ def expected_spectrum(terms, order: int):
     "neumann", 20,
 )
 def test_generated_family_solves_exactly(terms, kind, order):
-    bc = BoundarySpec(tuple(
-        EdgeCondition(edge, kind, edge_trace(terms, edge, kind == "neumann"))
-        for edge in EDGE_GEOMETRY
-    ))
-    # all-Neumann data fix u only up to a constant: pin u(0, 0)
-    origin = sum(a * AT_ZERO[f] * AT_ZERO[g] for a, f, g, _ in terms) if kind == "neumann" else 0
-    report = solve_model(bc, order, origin_value=origin, boundary_samples=2)
+    descriptor = reference_descriptor((a, f, k, g, k) for a, f, g, k in terms)
+    model = closed_form_model("family", descriptor, kind, order)
+    # all-Neumann data fix u only up to a constant: the model pins u(0, 0)
+    report = solve_model(model.bc, order, origin_value=model.origin_value, boundary_samples=2)
     assert report.spectrum == expected_spectrum(terms, order)
     assert report.inference_method == "exact"
     assert report.pde_residual_is_zero

@@ -18,6 +18,7 @@ from dtm2d import (
     InferenceError,
     MARCH_IN_M,
     MARCH_IN_N,
+    closed_form_model,
     dt_add,
     dt_derivative,
     dt_scale,
@@ -54,6 +55,7 @@ from conftest import (
     formula_example2,
     formula_example3,
     formula_example4,
+    reference_descriptor,
     small_fractions,
 )
 
@@ -463,7 +465,7 @@ class TestInferExact:
 
         trace = FuncSpec(terms=tuple(term() for _ in range(data.draw(st.integers(1, 3)))))
         targets = _closure_targets(trace, order)
-        assert _infer_exact(None, known_index, kind, targets, order) == _fraction_infer_exact(
+        assert _infer_exact(known_index, kind, targets, order) == _fraction_infer_exact(
             known_index, kind, targets, order
         )
 
@@ -482,7 +484,7 @@ class TestInferExact:
     def test_consistent_and_inconsistent_cases(self, trace, kind, known_index, consistent):
         order = 44
         targets = _closure_targets(trace, order)
-        got = _infer_exact(None, known_index, kind, targets, order)
+        got = _infer_exact(known_index, kind, targets, order)
         assert got == _fraction_infer_exact(known_index, kind, targets, order)
         assert (got[2] == 0.0) == consistent
 
@@ -865,3 +867,47 @@ class TestSolveModel:
             EdgeCondition("z=0", "dirichlet", FuncSpec(kind="zero"))
         with pytest.raises(DtmError, match="kind"):
             EdgeCondition("x=0", "robin", FuncSpec(kind="zero"))
+
+
+class TestClosedFormModel:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_derived_traces_match_the_closed_form(self, data):
+        # each derived trace against u (Dirichlet) or u's derivative across the
+        # edge (Neumann) in 50 digits, at the exact level 0 or pi; the float
+        # trace may be off by its own rounding bound
+        mpmath = pytest.importorskip("mpmath")
+        kinds = st.sampled_from(("sin", "cos", "sinh", "cosh"))
+        scales = st.builds(Fraction, st.integers(1, 6), st.integers(1, 4))
+        terms = data.draw(st.lists(st.tuples(
+            small_fractions.filter(lambda a: a != 0), kinds, scales, kinds, scales,
+        ), min_size=1, max_size=2))
+        kind = data.draw(st.sampled_from(BC_KINDS))
+        model = closed_form_model("oracle", reference_descriptor(terms), kind, 12)
+        assert [c.edge for c in model.bc.conditions] == ["y=0", "y=pi", "x=0", "x=pi"]
+
+        def mp(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        def u(x, y):
+            return sum(mp(a) * getattr(mpmath, f)(mp(kx) * x) * getattr(mpmath, g)(mp(ky) * y)
+                       for a, f, kx, g, ky in terms)
+
+        with mpmath.workdps(50):
+            for cond in model.bc.conditions:
+                axis, at = cond.edge.split("=")
+                level = mpmath.pi if at == "pi" else mpmath.mpf(0)
+                for t in (i * math.pi / 6 for i in range(7)):
+                    # u as a function of the coordinate across the edge
+                    across = (lambda s: u(s, t)) if axis == "x" else (lambda s: u(t, s))
+                    exact = across(level) if kind == "dirichlet" else mpmath.diff(across, level)
+                    # mpmath.diff is good to far below 1e-30 at 50 digits
+                    slack = _trace_rounding(cond.trace, t) + mpmath.mpf(10) ** -30
+                    assert abs(trace_value(cond.trace, t) - exact) <= slack, (cond.edge, t)
+        at_origin = sum(a for a, f, _, g, _ in terms if {f, g} <= {"cos", "cosh"})
+        assert model.origin_value == (at_origin if kind == "neumann" else 0)
+
+    def test_catalog_is_built_once_and_returned_as_a_copy(self):
+        catalog = model_catalog()
+        first = catalog.pop("example1")
+        assert model_catalog()["example1"] is first

@@ -20,6 +20,7 @@ from dtm2d import (
     ReferenceSolution,
     boundary_residual,
     compare_closed_form,
+    dt_add,
     dt_derivative,
     eval2d,
     eval_grid,
@@ -338,6 +339,23 @@ class TestCompareClosedForm:
         )
         assert err < 1e-10
 
+    def test_sum_against_its_outer_products(self):
+        order = 60
+
+        def product(f, g):
+            return outer_product(taylor_coeffs(f, order), taylor_coeffs(g, order), order)
+
+        s = dt_add(
+            product(FuncSpec(kind="sin"), FuncSpec(kind="sinh")),
+            product(FuncSpec(kind="cos", arg_scale=2, amplitude=Fraction(-1, 2)),
+                    FuncSpec(kind="cosh", arg_scale=2)),
+        )
+        ref = ReferenceSolution("sin(x)*sinh(y)-1/2*cos(2x)*cosh(2y)")
+        assert compare_closed_form(s, ref, GridSpec.uniform(21)) < 1e-8
+        # the second term counts: without it the error is of order cosh(2 pi) / 2
+        assert compare_closed_form(s, ReferenceSolution("sin(x)*sinh(y)"),
+                                   GridSpec.uniform(21)) > 100
+
     @pytest.mark.parametrize("model_id", sorted(MODEL_FORMULAS))
     def test_monotone_in_order(self, model_id):
         model = model_catalog()[model_id]
@@ -418,8 +436,25 @@ class TestGridAndReference:
         assert ReferenceSolution("cos(3/2x)*sinh(2y)")(0.5, 0.25) == pytest.approx(
             math.cos(0.75) * math.sinh(0.5)
         )
+        x, y = 0.5, 0.25
+        sums = {
+            "sin(x)*sinh(y)-1/2*cos(2x)*cosh(2y)":
+                math.sin(x) * math.sinh(y) - math.cos(2 * x) * math.cosh(2 * y) / 2,
+            "-cos(x)*sinh(y)": -math.cos(x) * math.sinh(y),
+            "-3*sin(x)*sinh(y)+2/3*cosh(3/2x)*sin(3/2y)+cos(x)*cosh(y)":
+                -3 * math.sin(x) * math.sinh(y) + 2 / 3 * math.cosh(0.75) * math.sin(0.375)
+                + math.cos(x) * math.cosh(y),
+        }
+        for descriptor, value in sums.items():
+            assert ReferenceSolution(descriptor)(x, y) == pytest.approx(value)
+        assert [a for a, _, _ in ReferenceSolution("-3/4*cos(x)*sinh(y)+cos(x)*sinh(y)").terms] == [
+            Fraction(-3, 4), Fraction(1)
+        ]
         for bad in ("tan(x)", "tan(x)*cos(y)", "cos(0x)*sinh(y)", "cos(x)*sinh(x)",
-                    "cos(-2x)*cosh(2y)", "cos(2/0x)*cosh(y)", 5):
+                    "cos(-2x)*cosh(2y)", "cos(2/0x)*cosh(y)", 5,
+                    "sin(x)*sinh(y)+", "0*sin(x)*sinh(y)", "sin(x)*sinh(y)+-cos(x)*sinh(y)",
+                    "1/0*sin(x)*sinh(y)", "sin(x)*sinh(y) + cos(x)*sinh(y)", " sin(x)*sinh(y)",
+                    "sin(x)*sinh(y)cos(x)*sinh(y)", "+sin(x)*sinh(y)", ""):
             with pytest.raises(DtmError):
                 ReferenceSolution(bad)
 
