@@ -49,13 +49,11 @@ from .spectrum import (
 from .taylor import (
     FuncSpec,
     funcspec_from_json,
-    funcspec_to_json,
     outer_product,
     taylor_coeffs,
     trace_value,
 )
 from .verify import (
-    GridSpec,
     ReferenceSolution,
     boundary_residual,
     compare_closed_form,

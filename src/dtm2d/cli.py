@@ -28,7 +28,7 @@ from .solver import (
 )
 from .spectrum import DtmError, coeff_str, spectrum_to_json
 from .taylor import funcspec_from_json
-from .verify import GridSpec, ReferenceSolution
+from .verify import ReferenceSolution
 
 # Residual thresholds for the pass/fail exit status.  The pde residual must
 # vanish identically; boundary and closed-form errors get head-room over the
@@ -36,6 +36,10 @@ from .verify import GridSpec, ReferenceSolution
 FLOAT_THRESHOLD = 1e-8
 
 FORMATS = ("json", "csv", "pretty")
+# Config-file keys besides "model": each flag's, then those only the custom
+# model reads.
+_FLAG_KEYS = ("order", "format", "grid", "convergence_orders", "out", "emit_spectrum")
+_CUSTOM_KEYS = ("bc", "reference", "origin_value")
 
 __all__ = ["RunConfig", "main", "parse_config", "run"]
 
@@ -51,15 +55,11 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation: model, order, output and verification grid.
+    """Fully resolved invocation: model, order, output and verification grid."""
 
-    ``custom`` is the model named "custom"; catalog models are looked up.
-    """
-
-    model: str
+    model: Model
     order: int
     command: str = "solve"  # "solve" or "spectrum"
-    custom: Optional[Model] = None
     output_format: str = "pretty"
     grid: int = 21
     emit_spectrum: bool = False
@@ -67,8 +67,6 @@ class RunConfig:
     out_path: Optional[Path] = None
 
     def __post_init__(self) -> None:
-        if self.model == "custom" and self.custom is None:
-            raise ConfigError("custom model requires boundary conditions ('bc')")
         if self.output_format not in FORMATS:
             raise ConfigError(
                 f"unknown format {self.output_format!r}; choose from {FORMATS}"
@@ -104,6 +102,20 @@ def _parse_bc(data) -> BoundarySpec:
         except DtmError as exc:
             raise ConfigError(f"bc[{edge!r}]: {exc}") from exc
     return BoundarySpec(tuple(conditions))
+
+
+def _custom_model(file_cfg: dict) -> Model:
+    """The model named "custom": the config's bc, reference and origin_value."""
+    if "bc" not in file_cfg:
+        raise ConfigError("custom model requires a 'bc' object in the config")
+    reference = file_cfg.get("reference")
+    if reference is not None:
+        reference = ReferenceSolution(reference)
+    try:
+        origin_value = Fraction(str(file_cfg.get("origin_value", 0)))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad origin_value: {exc}") from exc
+    return Model("custom", _parse_bc(file_cfg["bc"]), reference, 36, origin_value)
 
 
 def _parse_grid(text: str) -> int:
@@ -164,29 +176,27 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
 
+    unknown = set(file_cfg) - {"model", *_FLAG_KEYS, *_CUSTOM_KEYS}
+    if unknown:
+        raise ConfigError(f"unknown config key {min(unknown)!r}")
     if getattr(args, "example", None) is not None:
-        model = f"example{args.example}"
+        name = f"example{args.example}"
     elif "model" in file_cfg:
-        model = str(file_cfg["model"])
+        name = str(file_cfg["model"])
     else:
         raise ConfigError("no model: pass --example 1..4 or a config with 'model'")
 
     catalog = model_catalog()
-    custom = None
-    if model == "custom":
-        if "bc" not in file_cfg:
-            raise ConfigError("custom model requires a 'bc' object in the config")
-        reference = file_cfg.get("reference")
-        if reference is not None:
-            ReferenceSolution(reference)  # fails early on a descriptor it cannot parse
-        try:
-            origin_value = Fraction(str(file_cfg.get("origin_value", 0)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad origin_value: {exc}") from exc
-        custom = Model("custom", _parse_bc(file_cfg["bc"]), reference, 36, origin_value)
-    elif model not in catalog:
+    if name == "custom":
+        model = _custom_model(file_cfg)
+    elif name not in catalog:
         known = sorted(catalog) + ["custom"]
-        raise ConfigError(f"unknown model {model!r}; choose from {known}")
+        raise ConfigError(f"unknown model {name!r}; choose from {known}")
+    else:
+        model = catalog[name]
+        for key in _CUSTOM_KEYS:
+            if key in file_cfg:
+                raise ConfigError(f"config key {key!r} applies only to model 'custom'")
 
     def setting(key: str, parse: Callable, default=None):
         """The flag, else the file value as the flag's text; null reads as absent."""
@@ -200,9 +210,8 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"config emit_spectrum must be true or false, got {emit!r}")
     return RunConfig(
         model=model,
-        order=setting("order", _parse_order, (custom or catalog[model]).default_order),
+        order=setting("order", _parse_order, model.default_order),
         command=getattr(args, "command", "solve"),
-        custom=custom,
         output_format=setting("format", str, "pretty"),
         grid=setting("grid", _parse_grid, 21),
         emit_spectrum=bool(emit),
@@ -211,15 +220,14 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _solve(config: RunConfig, order: int) -> ModelReport:
-    model = config.custom or model_catalog()[config.model]
+def _solve(model: Model, order: int, grid: int = 21) -> ModelReport:
     return solve_model(
         model.bc,
         order,
-        model_id=config.model,
+        model_id=model.model_id,
         origin_value=model.origin_value,
         reference=model.reference,
-        grid=GridSpec.uniform(config.grid),
+        grid=grid,
         boundary_samples=41,
     )
 
@@ -302,14 +310,18 @@ def _pretty(report: ModelReport, row: dict, rows: list[dict]) -> list[str]:
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one resolved config; returns (exit status, report text)."""
-    report = _solve(config, config.order)
+    report = _solve(config.model, config.order, config.grid)
     if config.command == "spectrum":
         return 0, _text(_spectrum(report, config.output_format))
 
     # Exit status reflects the requested order only; convergence rows at
-    # lower orders are informational and carry their own per-row flag.
+    # lower orders are informational and carry their own per-row flag.  A
+    # rung at the requested order reuses its report.
     row = _row(report)
-    rows = [_row(_solve(config, order)) for order in config.convergence_orders or ()]
+    rows = [
+        row if order == config.order else _row(_solve(config.model, order, config.grid))
+        for order in config.convergence_orders or ()
+    ]
     if config.output_format == "json":
         out = {
             **row,
@@ -344,7 +356,7 @@ def _run_verify(fmt: str) -> tuple[int, str]:
     """Solve all four built-in models at their default orders and check them."""
     rows, lines = [], []
     for model_id, model in sorted(model_catalog().items()):
-        report = _solve(RunConfig(model=model_id, order=model.default_order), model.default_order)
+        report = _solve(model, model.default_order)
         row = _row(report)
         lines.append(
             f"{model_id}  order {row['order']:3d}  pde {_pde_label(report):10s}  "

@@ -250,7 +250,7 @@ class InferredLayer:
     residual: float                  # max-abs per-degree closure mismatch
     warning: Optional[str] = None
     undetermined: tuple[int, ...] = ()
-    pre_snap: Optional[tuple[float, ...]] = None  # float route: the raw floats
+    raw_floats: Optional[tuple[float, ...]] = None  # float route: the floats solved for
 
 
 def _layer_match_terms(m: int, layer_index: int, closure_kind: str, order: int):
@@ -387,7 +387,7 @@ def _infer_exact(known_index, closure_kind, targets, order):
 def _infer_float(known, known_index, closure_kind, targets, order):
     """Back-substitute the collapsed per-degree equations in floats.
 
-    Returns (coeffs, undetermined, pre_snap): pre_snap holds the raw floats,
+    Returns (coeffs, undetermined, raw_floats): raw_floats holds the floats,
     coeffs the same values as exact binary rationals, with those within
     FLOAT_ZERO_TOL of zero made exact zeros.
     """
@@ -413,11 +413,11 @@ def _infer_float(known, known_index, closure_kind, targets, order):
         if lead is not None and raw[lead[0]] is None:
             raw[lead[0]] = rhs / lead[1]
     undetermined = tuple(j for j in range(order + 1) if raw[j] is None)
-    pre_snap = tuple(0.0 if v is None else v for v in raw)
+    raw_floats = tuple(0.0 if v is None else v for v in raw)
     coeffs = tuple(
-        Fraction(0) if abs(v) <= FLOAT_ZERO_TOL else Fraction(v) for v in pre_snap
+        Fraction(0) if abs(v) <= FLOAT_ZERO_TOL else Fraction(v) for v in raw_floats
     )
-    return coeffs, undetermined, pre_snap
+    return coeffs, undetermined, raw_floats
 
 
 def infer_missing_seed(
@@ -459,7 +459,7 @@ def infer_missing_seed(
     targets = _closure_targets(closure_edge.trace, order)
     kind = closure_edge.kind
 
-    def finish(coeffs, used, undetermined, pre_snap=None) -> InferredLayer:
+    def finish(coeffs, used, undetermined, raw_floats=None) -> InferredLayer:
         pair = (coeffs, known) if known_layer_index == 1 else (known, coeffs)
         residual, rounding = _match_residual(pair[0], pair[1], kind, targets, order)
         # A residual within its own rounding bound shows no inconsistency.
@@ -473,7 +473,7 @@ def infer_missing_seed(
         warning = None
         if residual > RESIDUAL_WARN:
             warning = f"closure residual {residual:.3e} above {RESIDUAL_WARN:.0e}"
-        return InferredLayer(coeffs, used, residual, warning, undetermined, pre_snap)
+        return InferredLayer(coeffs, used, residual, warning, undetermined, raw_floats)
 
     if method != "float":
         coeffs, undetermined, inconsistency = _infer_exact(
@@ -487,10 +487,10 @@ def infer_missing_seed(
                 f"{inconsistency:.3e}); closure data does not factor through "
                 f"the pi-degree identity"
             )
-    coeffs, undetermined, pre_snap = _infer_float(
+    coeffs, undetermined, raw_floats = _infer_float(
         known, known_layer_index, kind, targets, order
     )
-    return finish(coeffs, "float", undetermined, pre_snap)
+    return finish(coeffs, "float", undetermined, raw_floats)
 
 
 # --------------------------------------------------------------------------
@@ -520,11 +520,11 @@ class ModelReport:
 
 @dataclass(frozen=True)
 class Model:
-    """A catalog entry: boundary data plus its known closed-form solution."""
+    """Boundary data plus its known closed-form solution, parsed, if any."""
 
     model_id: str
     bc: BoundarySpec
-    reference: Optional[str]
+    reference: Optional[verify.ReferenceSolution]
     default_order: int
     origin_value: Fraction = field(default_factory=lambda: Fraction(0))
 
@@ -644,8 +644,8 @@ def solve_model(
     *,
     model_id: str = "custom",
     origin_value: CoeffLike = 0,
-    reference: Optional[str] = None,
-    grid=None,
+    reference: Optional[verify.ReferenceSolution] = None,
+    grid: int = 21,
     boundary_samples: int = 41,
 ) -> ModelReport:
     """Seed, infer, propagate and verify one boundary-value model.
@@ -661,7 +661,8 @@ def solve_model(
     the marching axis; without one it stays 0 and the warning says so.
     Inference runs at :func:`_working_order` so that closure series are
     resolved; both seed layers are then cut to ``order`` and only that
-    triangle is marched.
+    triangle is marched.  A ``reference`` closed form is compared on the
+    ``grid`` x ``grid`` uniform grid (:func:`verify.compare_closed_form`).
     """
     if order < 0:
         raise DtmError(f"order must be non-negative, got {order}")
@@ -721,9 +722,7 @@ def solve_model(
     residuals = verify.boundary_residual(spectrum, bc, boundary_samples)
     closed_form = None
     if reference is not None:
-        closed_form = verify.compare_closed_form(
-            spectrum, verify.ReferenceSolution(reference), grid or verify.GridSpec.uniform(21)
-        )
+        closed_form = verify.compare_closed_form(spectrum, reference, grid)
     return ModelReport(
         model=model_id,
         order=order,
@@ -768,7 +767,7 @@ def closed_form_model(model_id: str, reference: str, kind: str, default_order: i
     bc = BoundarySpec(tuple(EdgeCondition(edge, kind, _edge_trace(ref, edge, kind))
                             for edge in ("y=0", "y=pi", "x=0", "x=pi")))
     at_origin = sum(a * taylor_coeffs(f, 0)[0] * taylor_coeffs(g, 0)[0] for a, f, g in ref.terms)
-    return Model(model_id, bc, reference, default_order,
+    return Model(model_id, bc, ref, default_order,
                  at_origin if kind == "neumann" else Fraction(0))
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
-from .spectrum import CoeffLike, DtmError, Spectrum2D, as_coeff, coeff_str
+from .spectrum import CoeffLike, DtmError, Spectrum2D, as_coeff
 
 KINDS = ("sin", "cos", "sinh", "cosh", "exp", "polynomial", "zero")
 # A token's pi-series must have one parity: the exact inference route matches
@@ -28,7 +28,6 @@ __all__ = [
     "KINDS",
     "TOKEN_KINDS",
     "funcspec_from_json",
-    "funcspec_to_json",
     "outer_product",
     "taylor_coeffs",
     "trace_value",
@@ -41,15 +40,14 @@ class FuncSpec:
 
     ``sym_amp`` multiplies the whole term by a constant that the exact layer
     keeps symbolic: None or a token, a :data:`TOKEN_KINDS` trace of amplitude
-    1 standing for its value at t = pi; legacy names such as "sinh_2pi" are
-    normalised.  A sum of terms is expressed with ``terms`` set and all other
-    fields at their defaults.
+    1 standing for its value at t = pi.  A sum of terms is expressed with
+    ``terms`` set and all other fields at their defaults.
     """
 
     kind: str = "zero"
     arg_scale: Fraction = Fraction(1)
     amplitude: Fraction = Fraction(1)
-    sym_amp: Union["FuncSpec", str, None] = None
+    sym_amp: Optional["FuncSpec"] = None
     poly_coeffs: Optional[tuple[Fraction, ...]] = None
     terms: Optional[tuple["FuncSpec", ...]] = None
 
@@ -63,7 +61,16 @@ class FuncSpec:
             return
         if self.kind not in KINDS:
             raise DtmError(f"unknown trace kind {self.kind!r}")
-        object.__setattr__(self, "sym_amp", _as_token(self.sym_amp))
+        token = self.sym_amp
+        if token is not None and not (
+            isinstance(token, FuncSpec) and token.kind in TOKEN_KINDS
+            and token.amplitude == 1 and token.sym_amp is None
+        ):
+            raise DtmError(
+                f"a symbolic amplitude is null or one {TOKEN_KINDS} term of amplitude 1, "
+                f'a trace object such as {{"kind": "sinh", "arg_scale": "2"}} for '
+                f"sinh(2pi); got {token!r}"
+            )
         object.__setattr__(self, "arg_scale", as_coeff(self.arg_scale))
         object.__setattr__(self, "amplitude", as_coeff(self.amplitude))
         if self.kind == "polynomial":
@@ -88,30 +95,6 @@ class FuncSpec:
     def flat_terms(self) -> tuple["FuncSpec", ...]:
         """The trace as a tuple of single-library terms."""
         return self.terms if self.terms is not None else (self,)
-
-
-def _as_token(token) -> Optional[FuncSpec]:
-    """Normalise a symbolic amplitude: None, a legacy name or a token trace."""
-    if isinstance(token, str):
-        if token not in _LEGACY_TOKENS:
-            raise DtmError(f"unknown symbolic amplitude {token!r}")
-        return _LEGACY_TOKENS[token]
-    if token is None or (
-        isinstance(token, FuncSpec) and token.kind in TOKEN_KINDS
-        and token.amplitude == 1 and token.sym_amp is None
-    ):
-        return token
-    raise DtmError(f"a symbolic amplitude is one {TOKEN_KINDS} term of amplitude 1, got {token!r}")
-
-
-# Names the token had before it was a trace, still accepted in JSON and code.
-_LEGACY_TOKENS = {
-    "none": None,
-    "sinh_pi": FuncSpec(kind="sinh"),
-    "cosh_pi": FuncSpec(kind="cosh"),
-    "sinh_2pi": FuncSpec(kind="sinh", arg_scale=2),
-    "cosh_2pi": FuncSpec(kind="cosh", arg_scale=2),
-}
 
 
 # Transcendental kinds: (first k, step in k, sign factor per step) of their
@@ -204,23 +187,9 @@ def outer_product(
     return Spectrum2D(order, (Fraction(0), Fraction(0)), table)
 
 
-def funcspec_to_json(f: FuncSpec) -> dict:
-    """JSON-ready dict form; sums nest their terms under "terms"."""
-    if f.terms is not None:
-        return {"terms": [funcspec_to_json(t) for t in f.terms]}
-    data = {
-        "kind": f.kind,
-        "arg_scale": coeff_str(f.arg_scale),
-        "amplitude": coeff_str(f.amplitude),
-        "sym_amp": "none" if f.sym_amp is None else funcspec_to_json(f.sym_amp),
-    }
-    if f.poly_coeffs is not None:
-        data["poly_coeffs"] = [coeff_str(c) for c in f.poly_coeffs]
-    return data
-
-
 def funcspec_from_json(data: Mapping) -> FuncSpec:
-    """Inverse of :func:`funcspec_to_json`; ``sym_amp`` may also be a legacy name."""
+    """A trace from its JSON object: ``kind``, ``arg_scale``, ``amplitude``,
+    ``sym_amp`` (a token's own object) and ``poly_coeffs``, or ``terms``."""
     if not isinstance(data, Mapping):
         raise DtmError(f"trace JSON must be an object, got {data!r}")
     terms, poly = data.get("terms"), data.get("poly_coeffs")

@@ -27,7 +27,6 @@ _TERM = re.compile(r"([+-]?)" + _PRODUCT)
 _REFERENCE = re.compile(rf"-?{_PRODUCT}(?:[+-]{_PRODUCT})*")
 
 __all__ = [
-    "GridSpec",
     "ReferenceSolution",
     "boundary_residual",
     "compare_closed_form",
@@ -35,31 +34,6 @@ __all__ = [
     "eval_grid",
     "spectrum_diff",
 ]
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Evaluation grid inside the closed square [0, pi] x [0, pi]."""
-
-    x_points: tuple[float, ...]
-    y_points: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for name, pts in (("x_points", self.x_points), ("y_points", self.y_points)):
-            if not pts:
-                raise DtmError(f"{name} must be nonempty")
-            if any(p < 0 or p > math.pi for p in pts):
-                raise DtmError(f"{name} must lie within [0, pi]")
-        object.__setattr__(self, "x_points", tuple(float(p) for p in self.x_points))
-        object.__setattr__(self, "y_points", tuple(float(p) for p in self.y_points))
-
-    @classmethod
-    def uniform(cls, k: int) -> "GridSpec":
-        """k x k uniform grid including the endpoints."""
-        if k < 2:
-            raise DtmError(f"uniform grid needs k >= 2, got {k}")
-        pts = tuple(i * math.pi / (k - 1) for i in range(k))
-        return cls(pts, pts)
 
 
 @dataclass(frozen=True)
@@ -79,9 +53,6 @@ class ReferenceSolution:
              FuncSpec(kind=g, arg_scale=ky or 1))
             for sign, a, f, kx, g, ky in _TERM.findall(self.descriptor)
         ))
-
-    def __call__(self, x: float, y: float) -> float:
-        return sum(float(a) * trace_value(f, x) * trace_value(g, y) for a, f, g in self.terms)
 
 
 def _project(s: Spectrum2D, r: int = 0, q: int = 0) -> list[list[float]]:
@@ -193,16 +164,18 @@ def boundary_residual(
     return out
 
 
-def compare_closed_form(
-    s: Spectrum2D, ref: ReferenceSolution, grid: GridSpec
-) -> float:
-    """Max-abs error of the truncated series against the closed form, whose
-    terms are each evaluated once per x and once per y, multiplied and summed."""
-    values = eval_grid(s, grid.x_points, grid.y_points)
-    exact = [[0.0] * len(grid.y_points) for _ in grid.x_points]
+def compare_closed_form(s: Spectrum2D, ref: ReferenceSolution, grid: int) -> float:
+    """Max-abs error of the truncated series against the closed form on the
+    ``grid`` x ``grid`` uniform grid of the square, endpoints included; each
+    term is evaluated once per x and once per y, multiplied and summed."""
+    if grid < 2:
+        raise DtmError(f"uniform grid needs k >= 2, got {grid}")
+    points = [i * math.pi / (grid - 1) for i in range(grid)]
+    values = eval_grid(s, points, points)
+    exact = [[0.0] * grid for _ in points]
     for a, f, g in ref.terms:
-        ys = [trace_value(g, y) for y in grid.y_points]
-        for x, row in zip(grid.x_points, exact):
+        ys = [trace_value(g, y) for y in points]
+        for x, row in zip(points, exact):
             fx = float(a) * trace_value(f, x)
             row[:] = [u + fx * gy for u, gy in zip(row, ys)]
     worst = 0.0

@@ -55,6 +55,9 @@ MODEL_FORMULAS = {
     "example4": formula_example4,
 }
 
+# Names symbolic amplitudes had before they were trace objects; none is read.
+LEGACY_TOKEN_NAMES = ("none", "sinh_pi", "cosh_pi", "sinh_2pi", "cosh_2pi")
+
 
 def enumerate_spectrum(formula, order: int) -> Spectrum2D:
     """Materialize a coefficient formula over the triangle m + n <= order."""

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 from dtm2d import (
     CauchySeed,
-    GridSpec,
     MARCH_IN_N,
-    ReferenceSolution,
     boundary_residual,
     compare_closed_form,
     dt_derivative,
@@ -114,14 +112,13 @@ def test_a2_harmonicity():
 
 
 def test_a3_closed_form_reconstruction():
-    grid = GridSpec.uniform(21)
     ok = True
     details = []
     for model_id in MODEL_IDS:
         order = DEFAULT_ORDERS[model_id]
         report = solve_example(model_id, order)
-        ref = ReferenceSolution(model_catalog()[model_id].reference)
-        err = compare_closed_form(report.spectrum, ref, grid)
+        ref = model_catalog()[model_id].reference
+        err = compare_closed_form(report.spectrum, ref, 21)
         ok = ok and err < 1e-8
         details.append(f"{model_id}@{order}: {err:.2e}")
     check("A3 (closed-form error < 1e-8 on 21x21 grid)", ok, "; ".join(details))
@@ -247,11 +244,11 @@ def test_a7_seed_inference():
         ok = ok and zero
         details.append(f"{model_id} zero={zero}")
     # the float route is well-posed for the closure of example1:
-    # raw (pre_snap) magnitudes stay under 1e-9, so the zero rule makes them 0
+    # raw float magnitudes stay under 1e-9, so the zero rule makes them 0
     float_result = _model_inference("example1", 44, method="float")
-    pre = max(abs(v) for v in float_result.pre_snap)
+    pre = max(abs(v) for v in float_result.raw_floats)
     ok = ok and pre < 1e-9 and all(c == 0 for c in float_result.coeffs)
-    details.append(f"example1 float pre-snap {pre:.1e}")
+    details.append(f"example1 float raw {pre:.1e}")
     # example3's missing layer is the cos 2x row, recovered exactly
     result3 = _model_inference("example3", 44)
     row_ok = all(result3.coeffs[j] == formula_example3(j, 0) for j in range(2, 45))
@@ -261,15 +258,14 @@ def test_a7_seed_inference():
 
 
 def test_a8_convergence_monotonicity():
-    grid = GridSpec.uniform(21)
     ok = True
     details = []
     for model_id in MODEL_IDS:
-        ref = ReferenceSolution(model_catalog()[model_id].reference)
+        ref = model_catalog()[model_id].reference
         errors = []
         for order in CONVERGENCE_LADDERS[model_id]:
             report = solve_example(model_id, order)
-            errors.append(compare_closed_form(report.spectrum, ref, grid))
+            errors.append(compare_closed_form(report.spectrum, ref, 21))
         monotone = all(b <= a + 1e-13 for a, b in zip(errors, errors[1:]))
         ok = ok and monotone
         details.append(model_id + ": " + " > ".join(f"{e:.1e}" for e in errors))

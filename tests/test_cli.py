@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from dtm2d.cli import ConfigError, RunConfig, build_parser, main, parse_config
+from dtm2d.solver import model_catalog
 
-from conftest import enumerate_spectrum, formula_example3
+from conftest import LEGACY_TOKEN_NAMES, enumerate_spectrum, formula_example3
 
 
 def run_cli(capsys, argv):
@@ -86,6 +87,32 @@ class TestSolve:
         lines = out.strip().splitlines()
         assert lines[0] == "order,edge,residual,closed_form_err"
         assert len(lines) == 1 + 2 * 4  # two orders, four edges
+
+    def test_convergence_ladder_solves_each_order_once(self, capsys, monkeypatch):
+        # the README ladder: the requested order 60 is also the top rung, and
+        # its one report serves both
+        import dtm2d.cli
+
+        real = dtm2d.cli.solve_model
+        orders = []
+
+        def counting(bc, order, **kwargs):
+            orders.append(order)
+            return real(bc, order, **kwargs)
+
+        monkeypatch.setattr(dtm2d.cli, "solve_model", counting)
+        argv = ["solve", "--example", "3", "--convergence-orders", "24,36,48,60"]
+        for fmt in ("csv", "json"):
+            orders.clear()
+            status, out, _ = run_cli(capsys, [*argv, "--format", fmt])
+            assert (status, orders) == (0, [60, 24, 36, 48])
+        payload = json.loads(out)
+        assert payload["convergence"][-1] == {
+            "order": 60,
+            "edges": payload["edges"],
+            "closed_form_max_err": payload["closed_form_max_err"],
+            "passed": payload["checks"]["passed"],
+        }
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -191,7 +218,7 @@ class TestConfigHandling:
     def test_defaults_from_example_flag(self):
         args = build_parser().parse_args(["solve", "--example", "2"])
         config = parse_config(args)
-        assert config.model == "example2"
+        assert config.model == model_catalog()["example2"]
         assert config.order == 36
         assert config.output_format == "pretty"
         assert config.grid == 21
@@ -217,7 +244,7 @@ class TestConfigHandling:
                          "trace": {"kind": "sinh", "amplitude": "-1/1"}},
                 "x=0": {"kind": "dirichlet", "trace": {"kind": "zero"}},
                 "x=pi": {"kind": "dirichlet",
-                         "trace": {"kind": "cos", "sym_amp": "sinh_pi"}},
+                         "trace": {"kind": "cos", "sym_amp": {"kind": "sinh"}}},
             },
         }
         path = tmp_path / "model.json"
@@ -264,6 +291,35 @@ class TestConfigHandling:
         status, _, err = run_cli(capsys, ["solve", "--config", str(path)])
         assert status == 1
         assert "unknown reference" in err
+
+    @pytest.mark.parametrize("name", LEGACY_TOKEN_NAMES)
+    def test_legacy_token_name_is_a_config_error(self, capsys, tmp_path, name):
+        zero = {"kind": "dirichlet", "trace": {"kind": "zero"}}
+        bc = {edge: zero for edge in ("y=0", "y=pi", "x=0")}
+        bc["x=pi"] = {"kind": "dirichlet", "trace": {"kind": "cos", "sym_amp": name}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"model": "custom", "order": 12, "bc": bc}))
+        status, out, err = run_cli(capsys, ["solve", "--config", str(path)])
+        assert (status, out) == (1, "")
+        # the message shows the trace-object spelling of a token
+        assert err.startswith("error: bc['x=pi']: ") and repr(name) in err
+        assert '{"kind": "sinh", "arg_scale": "2"}' in err
+
+    def test_unknown_config_key_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"model": "example1", "order": 8, "formt": "json"}))
+        status, out, err = run_cli(capsys, ["solve", "--config", str(path)])
+        assert (status, out, err) == (1, "", "error: unknown config key 'formt'\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("bc", {}), ("reference", "cos(x)*cosh(y)"), ("origin_value", "1"),
+    ])
+    def test_custom_only_key_on_a_catalog_model_is_an_error(self, capsys, tmp_path, key, value):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"model": "example1", key: value}))
+        status, out, err = run_cli(capsys, ["solve", "--config", str(path)])
+        assert (status, out) == (1, "")
+        assert err.startswith("error: config key ") and repr(key) in err
 
     def test_incompatible_corner_exits_1(self, capsys, tmp_path):
         # u(x,pi) = 1 with zero data elsewhere: no continuous u meets it at (0,pi)
@@ -316,14 +372,13 @@ class TestConfigHandling:
         assert "no model" in err
 
     def test_run_config_validation(self):
+        model = model_catalog()["example1"]
         with pytest.raises(ConfigError):
-            RunConfig(model="example1", order=8, output_format="yaml")
+            RunConfig(model=model, order=8, output_format="yaml")
         with pytest.raises(ConfigError):
-            RunConfig(model="example1", order=8, convergence_orders=(12, 12))
+            RunConfig(model=model, order=8, convergence_orders=(12, 12))
         with pytest.raises(ConfigError):
-            RunConfig(model="example1", order=8, grid=1)
-        with pytest.raises(ConfigError):
-            RunConfig(model="custom", order=8)
+            RunConfig(model=model, order=8, grid=1)
 
     def test_bad_grid_argument(self, capsys):
         status, _, err = run_cli(

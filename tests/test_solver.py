@@ -18,7 +18,9 @@ from dtm2d import (
     InferenceError,
     MARCH_IN_M,
     MARCH_IN_N,
+    ReferenceSolution,
     closed_form_model,
+    compare_closed_form,
     dt_add,
     dt_derivative,
     dt_scale,
@@ -470,9 +472,10 @@ class TestInferExact:
         )
 
     @pytest.mark.parametrize("trace,kind,known_index,consistent", [
-        (FuncSpec(kind="cos", sym_amp="sinh_pi"), "dirichlet", 0, True),  # example1
-        (FuncSpec(kind="cos", arg_scale=2, amplitude=2, sym_amp="sinh_2pi"), "neumann", 1, True),
-        (FuncSpec(kind="cos", arg_scale=2, sym_amp="sinh_pi"), "dirichlet", 0, False),
+        (FuncSpec(kind="cos", sym_amp=FuncSpec(kind="sinh")), "dirichlet", 0, True),  # example1
+        (FuncSpec(kind="cos", arg_scale=2, amplitude=2,
+                  sym_amp=FuncSpec(kind="sinh", arg_scale=2)), "neumann", 1, True),
+        (FuncSpec(kind="cos", arg_scale=2, sym_amp=FuncSpec(kind="sinh")), "dirichlet", 0, False),
         (FuncSpec(terms=(
             FuncSpec(kind="sin", sym_amp=FuncSpec(kind="sinh")),
             FuncSpec(kind="sin", arg_scale=3, amplitude=Fraction(-2, 5),
@@ -558,7 +561,7 @@ class TestInferMissingSeed:
         assert all(c == 0 for c in result.coeffs)
         assert result.warning is None
 
-    def test_example1_float_route_pre_snap_small(self):
+    def test_example1_float_route_raw_floats_small(self):
         order = 36
         known, known_index = _model_known("example1", order)
         result = infer_missing_seed(
@@ -566,8 +569,8 @@ class TestInferMissingSeed:
             method="float",
         )
         assert result.method == "float"
-        assert result.pre_snap is not None
-        assert max(abs(v) for v in result.pre_snap) < 1e-10
+        assert result.raw_floats is not None
+        assert max(abs(v) for v in result.raw_floats) < 1e-10
         assert all(c == 0 for c in result.coeffs)
 
     def test_example3_recovers_cos2x_row(self):
@@ -604,7 +607,7 @@ class TestInferMissingSeed:
         order = 20
         known = taylor_coeffs(FuncSpec(kind="sinh"), order)
         closure = EdgeCondition(
-            "y=pi", "dirichlet", FuncSpec(kind="cos", arg_scale=2, sym_amp="sinh_pi")
+            "y=pi", "dirichlet", FuncSpec(kind="cos", arg_scale=2, sym_amp=FuncSpec(kind="sinh"))
         )
         with pytest.raises(InferenceError, match="parity matching inconsistent"):
             infer_missing_seed(known, 0, MARCH_IN_N, closure, order, method="exact")
@@ -634,7 +637,7 @@ class TestInferMissingSeed:
         # tiny values become exact zeros, the rest are their floats' exact
         # binary rationals: no rounding to nearby small fractions
         assert result.coeffs == tuple(
-            0 if abs(v) <= 1e-9 else Fraction(v) for v in result.pre_snap
+            0 if abs(v) <= 1e-9 else Fraction(v) for v in result.raw_floats
         )
         assert abs(result.coeffs[0] - math.pi**2 / 3) < 1e-9
         assert abs(result.coeffs[2] - Fraction(1, 3)) < 1e-15
@@ -726,7 +729,7 @@ class TestSolveModel:
 
     def test_seed_edge_with_token_rejected(self):
         bc = BoundarySpec((
-            EdgeCondition("y=0", "dirichlet", FuncSpec(kind="cos", sym_amp="sinh_pi")),
+            EdgeCondition("y=0", "dirichlet", FuncSpec(kind="cos", sym_amp=FuncSpec(kind="sinh"))),
             EdgeCondition("y=pi", "dirichlet", FuncSpec(kind="zero")),
             EdgeCondition("x=0", "dirichlet", FuncSpec(kind="zero")),
             EdgeCondition("x=pi", "dirichlet", FuncSpec(kind="zero")),
@@ -839,8 +842,8 @@ class TestSolveModel:
             ))),
             EdgeCondition("x=0", "dirichlet", FuncSpec(kind="zero")),
             EdgeCondition("x=pi", "dirichlet", FuncSpec(terms=(
-                FuncSpec(kind="cos", sym_amp="sinh_pi"),
-                FuncSpec(kind="cos", arg_scale=2, sym_amp="sinh_2pi"),
+                FuncSpec(kind="cos", sym_amp=FuncSpec(kind="sinh")),
+                FuncSpec(kind="cos", arg_scale=2, sym_amp=FuncSpec(kind="sinh", arg_scale=2)),
             ))),
         ))
         order = 12
@@ -911,3 +914,13 @@ class TestClosedFormModel:
         catalog = model_catalog()
         first = catalog.pop("example1")
         assert model_catalog()["example1"] is first
+
+    def test_model_holds_its_parsed_reference(self, monkeypatch):
+        # closed_form_model parses the descriptor once; no solve parses it again
+        import dtm2d.verify
+
+        model = model_catalog()["example3"]
+        assert model.reference == ReferenceSolution("cos(2x)*cosh(2y)")
+        monkeypatch.setattr(dtm2d.verify, "ReferenceSolution", None)
+        report = solve_example("example3", 20, grid=9)
+        assert report.closed_form_error == compare_closed_form(report.spectrum, model.reference, 9)

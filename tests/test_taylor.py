@@ -11,13 +11,12 @@ from dtm2d import (
     DtmError,
     FuncSpec,
     funcspec_from_json,
-    funcspec_to_json,
     outer_product,
     taylor_coeffs,
     trace_value,
 )
 
-from conftest import enumerate_spectrum, formula_example1, small_fractions
+from conftest import LEGACY_TOKEN_NAMES, enumerate_spectrum, formula_example1, small_fractions
 
 fact = math.factorial
 
@@ -108,7 +107,7 @@ class TestTaylorCoeffs:
 
     def test_sym_amp_rejected_on_exact_path(self):
         with pytest.raises(DtmError, match="symbolic amplitude"):
-            taylor_coeffs(FuncSpec(kind="cos", sym_amp="sinh_pi"), 3)
+            taylor_coeffs(FuncSpec(kind="cos", sym_amp=FuncSpec(kind="sinh")), 3)
 
     def test_sum_linearity_example(self):
         f1 = FuncSpec(kind="sinh", amplitude=2)
@@ -188,7 +187,8 @@ class TestNumericalConsistency:
         assert abs(value - ref(t)) < 1e-12
 
     def test_trace_value_uses_platform_functions(self):
-        f = FuncSpec(kind="cos", arg_scale=2, amplitude=2, sym_amp="sinh_2pi")
+        f = FuncSpec(kind="cos", arg_scale=2, amplitude=2,
+                     sym_amp=FuncSpec(kind="sinh", arg_scale=2))
         t = 0.7
         assert abs(trace_value(f, t) - 2 * math.cos(2 * t) * math.sinh(2 * math.pi)) < 1e-12
 
@@ -252,17 +252,17 @@ class TestValidationAndJson:
         with pytest.raises(DtmError):
             FuncSpec(kind="sin", sym_amp="tanh_pi")
         for token in (FuncSpec(kind="exp"), FuncSpec(kind="sinh", amplitude=2),
-                      FuncSpec(kind="sinh", sym_amp="cosh_pi"), {"kind": "sinh"}):
+                      FuncSpec(kind="sinh", sym_amp=FuncSpec(kind="cosh")), {"kind": "sinh"}):
             with pytest.raises(DtmError):
                 FuncSpec(kind="sin", sym_amp=token)
 
-    def test_token_spellings_agree(self):
-        legacy = FuncSpec(kind="cos", sym_amp="sinh_2pi")
-        assert legacy.sym_amp == FuncSpec(kind="sinh", arg_scale=2)
-        assert FuncSpec(kind="cos", sym_amp="none").sym_amp is None
-        data = {"kind": "cos", "sym_amp": {"kind": "sinh", "arg_scale": "2"}}
-        assert funcspec_from_json(data) == legacy
-        assert funcspec_from_json({"kind": "cos", "sym_amp": "sinh_2pi"}) == legacy
+    @pytest.mark.parametrize("name", LEGACY_TOKEN_NAMES)
+    def test_legacy_token_names_refused(self, name):
+        # a token is only a trace object; the message shows that spelling
+        for make in (lambda: FuncSpec(kind="cos", sym_amp=name),
+                     lambda: funcspec_from_json({"kind": "cos", "sym_amp": name})):
+            with pytest.raises(DtmError, match='"kind": "sinh", "arg_scale": "2"'):
+                make()
 
     def test_is_zero(self):
         assert FuncSpec(kind="zero").is_zero()
@@ -270,22 +270,25 @@ class TestValidationAndJson:
         assert FuncSpec(kind="polynomial", poly_coeffs=(0, 0)).is_zero()
         assert not FuncSpec(kind="sin").is_zero()
 
-    def test_json_round_trip(self):
-        f = FuncSpec(kind="sin", arg_scale=2, amplitude=Fraction(1, 1), sym_amp="none")
-        data = funcspec_to_json(f)
-        assert data == {
-            "kind": "sin",
-            "arg_scale": "2/1",
-            "amplitude": "1/1",
-            "sym_amp": "none",
-        }
+    def test_json_reader(self):
+        f = FuncSpec(kind="sin", arg_scale=2, amplitude=Fraction(1, 1))
+        data = {"kind": "sin", "arg_scale": "2/1", "amplitude": "1/1", "sym_amp": None}
         assert funcspec_from_json(data) == f
+        assert funcspec_from_json({"kind": "sin", "arg_scale": 2}) == f
+        token = {"kind": "cos", "sym_amp": {"kind": "sinh", "arg_scale": "2"}}
+        assert funcspec_from_json(token) == FuncSpec(
+            kind="cos", sym_amp=FuncSpec(kind="sinh", arg_scale=2)
+        )
 
-    def test_json_round_trip_sum_and_poly(self):
+    def test_json_reader_sum_and_poly(self):
         f = FuncSpec(
             terms=(
                 FuncSpec(kind="polynomial", poly_coeffs=(1, Fraction(-1, 2))),
-                FuncSpec(kind="cosh", arg_scale=2, sym_amp="sinh_2pi"),
+                FuncSpec(kind="cosh", arg_scale=2, sym_amp=FuncSpec(kind="sinh", arg_scale=2)),
             )
         )
-        assert funcspec_from_json(funcspec_to_json(f)) == f
+        data = {"terms": [
+            {"kind": "polynomial", "poly_coeffs": ["1", "-1/2"]},
+            {"kind": "cosh", "arg_scale": "2", "sym_amp": {"kind": "sinh", "arg_scale": "2"}},
+        ]}
+        assert funcspec_from_json(data) == f
