@@ -86,6 +86,9 @@ class RunConfig:
 def _parse_bc(data) -> BoundarySpec:
     if not isinstance(data, dict):
         raise ConfigError(f"custom bc must be an object, got {data!r}")
+    unknown = set(data) - set(EDGES)
+    if unknown:
+        raise ConfigError(f"bc[{min(unknown)!r}]: unknown edge; expected one of {EDGES}")
     conditions = []
     for edge in EDGES:
         if edge not in data:
@@ -93,6 +96,11 @@ def _parse_bc(data) -> BoundarySpec:
         entry = data[edge]
         if not isinstance(entry, dict):
             raise ConfigError(f"bc[{edge!r}] must be an object, got {entry!r}")
+        unknown = set(entry) - {"kind", "trace"}
+        if unknown:
+            raise ConfigError(
+                f"bc[{edge!r}]: unknown key {min(unknown)!r}; an edge takes kind and trace"
+            )
         kind = entry.get("kind")
         trace = entry.get("trace")
         if kind is None or trace is None:

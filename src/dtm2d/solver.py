@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import verify
+from .closure import match_tables, match_terms, term_ks, weighted_terms
 
 # Unused here; kept importable because perfbench/tracer.py wraps these names.
 from .rules import dt_add, dt_derivative  # noqa: F401
@@ -253,32 +254,6 @@ class InferredLayer:
     raw_floats: Optional[tuple[float, ...]] = None  # float route: the floats solved for
 
 
-def _layer_match_terms(m: int, layer_index: int, closure_kind: str, order: int):
-    """Closure-match terms of one seed layer at x-degree m.
-
-    Yields (j, numerator, denominator, pi power) per spectrum entry involved,
-    the rational coefficient being numerator / denominator: Dirichlet matches
-    sum_n U(m, n) pi**n, Neumann sum_n n U(m, n) pi**(n-1).  The even
-    transfer factor e = (-1)**k C(m+2k, 2k) is stepped along k by the march
-    recurrence as an exact integer; the odd one is e / (2k+1).
-    """
-    e = 1
-    k = 0
-    while m + 2 * k + layer_index <= order:
-        j = m + 2 * k
-        if layer_index == 0:
-            if closure_kind == "dirichlet":
-                yield j, e, 1, 2 * k
-            elif k >= 1:
-                yield j, 2 * k * e, 1, 2 * k - 1
-        elif closure_kind == "dirichlet":
-            yield j, e, 2 * k + 1, 2 * k + 1
-        else:
-            yield j, e, 1, 2 * k
-        e = -e * (j + 1) * (j + 2) // ((2 * k + 1) * (2 * k + 2))
-        k += 1
-
-
 _ONE = FuncSpec(kind="polynomial", poly_coeffs=(1,))  # the token of a term without one
 
 
@@ -306,9 +281,9 @@ def _match_residual(
     and a bound on its rounding: per degree, 2**-53 * (order + len(targets) +
     8) times the sum of the terms' magnitudes (at most order + len(targets) + 2
     terms of at most five roundings each; Higham, ch. 3).  Degree m reaches
-    only j = m + 2k, so a layer without a nonzero entry of m's parity at or
-    above m is not walked: the same terms are summed in the same order."""
-    pi_powers = [math.pi**p for p in range(order + 1)]
+    only j = m + 2k, so a layer's walk stops at its last nonzero entry of m's
+    parity: the same terms are summed in the same order."""
+    _, weights = match_tables(order)
     layers = []
     for index, layer in enumerate((list(layer0), list(layer1))):
         top = [max((j for j, c in enumerate(layer) if c and j % 2 == p), default=-1)
@@ -319,11 +294,10 @@ def _match_residual(
     for m in range(order + 1):
         lhs = size = 0.0
         for index, layer, floats, top in layers:
-            if m > top[m % 2]:
-                continue
-            for j, num, den, power in _layer_match_terms(m, index, closure_kind, order):
+            last = min(order - index, top[m % 2])
+            for j, weight in weighted_terms(weights, m, index, closure_kind, last):
                 if layer[j]:
-                    term = num / den * pi_powers[power] * floats[j]
+                    term = weight * floats[j]
                     lhs += term
                     size += abs(term)
         parts = [float(q[m]) * value for q, _, value in targets]
@@ -362,8 +336,11 @@ def _infer_exact(known_index, closure_kind, targets, order):
     scaled = [([a * (denom // (dq * ds)) for a in qn], sn) for (dq, qn), (ds, sn) in parts]
     first: list[Optional[tuple[int, int, int]]] = [None] * (order + 1)
     inconsistency = 0.0
+    rows, _ = match_tables(order)
     for m in range(order, -1, -1):
-        for j, num, den, power in _layer_match_terms(m, unknown_index, closure_kind, order):
+        ks = term_ks(m, unknown_index, closure_kind, order)
+        for k, (num, den, power) in zip(ks, match_terms(rows[m], ks, unknown_index, closure_kind)):
+            j = m + 2 * k
             rhs = 0
             for qn, sn in scaled:
                 if sn[power]:
@@ -391,25 +368,27 @@ def _infer_float(known, known_index, closure_kind, targets, order):
     coeffs the same values as exact binary rationals, with those within
     FLOAT_ZERO_TOL of zero made exact zeros.
     """
-    pi = math.pi
     unknown_index = 1 - known_index
     known_f = [float(c) for c in known]
     target_f = [
         sum(float(q[m]) * value for q, _, value in targets)
         for m in range(order + 1)
     ]
+    _, weights = match_tables(order)
     raw: list[Optional[float]] = [None] * (order + 1)
     for m in range(order, -1, -1):
         lead: Optional[tuple[int, float]] = None
         rhs = target_f[m]
-        for j, num, den, power in _layer_match_terms(m, known_index, closure_kind, order):
-            rhs -= num / den * pi**power * known_f[j]
-        for j, num, den, power in _layer_match_terms(m, unknown_index, closure_kind, order):
+        for j, weight in weighted_terms(weights, m, known_index, closure_kind,
+                                         order - known_index):
+            rhs -= weight * known_f[j]
+        for j, weight in weighted_terms(weights, m, unknown_index, closure_kind,
+                                         order - unknown_index):
             if lead is None:
-                lead = (j, num / den * pi**power)
+                lead = (j, weight)
             else:
                 solved = raw[j]
-                rhs -= num / den * pi**power * (solved if solved is not None else 0.0)
+                rhs -= weight * (solved if solved is not None else 0.0)
         if lead is not None and raw[lead[0]] is None:
             raw[lead[0]] = rhs / lead[1]
     undetermined = tuple(j for j in range(order + 1) if raw[j] is None)
@@ -759,11 +738,25 @@ def _edge_trace(reference: verify.ReferenceSolution, edge: str, kind: str) -> Fu
     return parts[0] if parts else FuncSpec(kind="zero")
 
 
+_TRIG = ("sin", "cos")
+
+
 def closed_form_model(model_id: str, reference: str, kind: str, default_order: int) -> Model:
     """The model whose four edges, all of one kind, carry the traces of the
     closed form ``reference`` (a :class:`verify.ReferenceSolution` descriptor),
-    in the order y=0, y=pi, x=0, x=pi.  All-Neumann data pin u(0, 0)."""
+    in the order y=0, y=pi, x=0, x=pi.  All-Neumann data pin u(0, 0).
+
+    Every term must be harmonic: sin or cos times sinh or cosh, in either
+    order, at equal x and y scales.  No harmonic u meets the traces of any
+    other term, so DtmError names the first such term."""
     ref = verify.ReferenceSolution(reference)
+    for _, f, g in ref.terms:
+        if (f.kind in _TRIG) == (g.kind in _TRIG) or f.arg_scale != g.arg_scale:
+            x, y = ("" if h.arg_scale == 1 else f"{h.arg_scale}" for h in (f, g))
+            raise DtmError(
+                f"closed form {reference!r} is not harmonic: term {f.kind}({x}x)*{g.kind}({y}y) "
+                f"is not sin or cos times sinh or cosh at equal scales"
+            )
     bc = BoundarySpec(tuple(EdgeCondition(edge, kind, _edge_trace(ref, edge, kind))
                             for edge in ("y=0", "y=pi", "x=0", "x=pi")))
     at_origin = sum(a * taylor_coeffs(f, 0)[0] * taylor_coeffs(g, 0)[0] for a, f, g in ref.terms)

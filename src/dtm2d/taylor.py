@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -96,6 +97,24 @@ class FuncSpec:
         """The trace as a tuple of single-library terms."""
         return self.terms if self.terms is not None else (self,)
 
+    @cached_property
+    def _float_terms(self) -> tuple[tuple[float, float, object], ...]:
+        """Per nonzero term, what :func:`trace_value` needs at every t: the
+        float amplitude times the token's value at pi, the float argument
+        scale, and the math function of the kind or, for a polynomial, its
+        float coefficients highest first.  Computed on first use."""
+        out = []
+        for term in self.flat_terms():
+            if term.kind == "zero" or term.amplitude == 0:
+                continue
+            token = 1.0 if term.sym_amp is None else trace_value(term.sym_amp, math.pi)
+            if term.kind == "polynomial":
+                base = tuple(float(c) for c in reversed(term.poly_coeffs))
+            else:  # the other kinds are named after their math functions
+                base = getattr(math, term.kind)
+            out.append((float(term.amplitude) * token, float(term.arg_scale), base))
+        return tuple(out)
+
 
 # Transcendental kinds: (first k, step in k, sign factor per step) of their
 # nonzero coefficients +-1 / k!.
@@ -144,24 +163,21 @@ def taylor_coeffs(f: FuncSpec, order: int) -> list[Fraction]:
     return out
 
 
-def _token_value(token: Optional[FuncSpec]) -> float:
-    return 1.0 if token is None else trace_value(token, math.pi)
-
-
 def trace_value(f: FuncSpec, t: float) -> float:
-    """Evaluate the trace at t using the platform's transcendental functions."""
+    """Evaluate the trace at t using the platform's transcendental functions:
+    the sum over terms of (amplitude * token) * base(scale * t), in term
+    order, a polynomial base by Horner.  The constants come converted to
+    floats once per trace (``FuncSpec._float_terms``)."""
     total = 0.0
-    for term in f.flat_terms():
-        if term.kind == "zero" or term.amplitude == 0:
-            continue
-        u = float(term.arg_scale) * t
-        if term.kind == "polynomial":  # Horner in u
-            base = 0.0
-            for c in reversed(term.poly_coeffs):
-                base = base * u + float(c)
-        else:  # the other kinds are named after their math functions
-            base = getattr(math, term.kind)(u)
-        total += float(term.amplitude) * _token_value(term.sym_amp) * base
+    for weight, scale, base in f._float_terms:
+        u = scale * t
+        if isinstance(base, tuple):  # polynomial coefficients, highest first
+            value = 0.0
+            for c in base:
+                value = value * u + c
+        else:
+            value = base(u)
+        total += weight * value
     return total
 
 
@@ -187,12 +203,23 @@ def outer_product(
     return Spectrum2D(order, (Fraction(0), Fraction(0)), table)
 
 
+_TERM_KEYS = ("kind", "arg_scale", "amplitude", "sym_amp", "poly_coeffs")
+
+
 def funcspec_from_json(data: Mapping) -> FuncSpec:
     """A trace from its JSON object: ``kind``, ``arg_scale``, ``amplitude``,
-    ``sym_amp`` (a token's own object) and ``poly_coeffs``, or ``terms``."""
+    ``sym_amp`` (a token's own object) and ``poly_coeffs``, or ``terms``
+    alone.  Any other key is an error."""
     if not isinstance(data, Mapping):
         raise DtmError(f"trace JSON must be an object, got {data!r}")
     terms, poly = data.get("terms"), data.get("poly_coeffs")
+    keys = ("terms",) if terms is not None else _TERM_KEYS
+    unknown = set(data) - {*keys, "terms"}  # a null "terms" reads as absent
+    if unknown:
+        raise DtmError(
+            f"unknown trace key {min(unknown, key=str)!r}; "
+            f"{'a sum' if terms is not None else 'a term'} takes {', '.join(keys)}"
+        )
     for key, value in (("terms", terms), ("poly_coeffs", poly)):
         if value is not None and not isinstance(value, (list, tuple)):
             raise DtmError(f"trace JSON {key!r} must be a list, got {value!r}")

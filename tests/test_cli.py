@@ -452,6 +452,36 @@ class TestConfigHandling:
         assert err.startswith("error: ") and fragment in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("change, fragment", [
+        (lambda bc: bc["y=0"]["trace"].update(amplitud="2"),
+         "bc['y=0']: unknown trace key 'amplitud'"),
+        (lambda bc: bc["y=0"].update(knd="neumann"), "bc['y=0']: unknown key 'knd'"),
+        (lambda bc: bc.update({"z=0": bc["y=0"]}), "bc['z=0']: unknown edge"),
+        (lambda bc: bc["x=pi"]["trace"]["sym_amp"].update(scale="2"),
+         "bc['x=pi']: unknown trace key 'scale'"),
+        (lambda bc: bc["x=0"].update(trace={"terms": [{"kind": "sin"}], "kind": "cos"}),
+         "bc['x=0']: unknown trace key 'kind'; a sum takes terms"),
+    ], ids=["trace", "edge", "extra_edge", "token", "sum"])
+    def test_unknown_bc_key_is_a_config_error(self, capsys, tmp_path, change, fragment):
+        # the README's custom config solves sinh x cos y; one misspelt or
+        # extra key must fail the run, not be skipped
+        bc = {
+            "y=0": {"kind": "dirichlet", "trace": {"kind": "sinh"}},
+            "y=pi": {"kind": "dirichlet", "trace": {"kind": "sinh", "sym_amp": {"kind": "cos"}}},
+            "x=0": {"kind": "dirichlet", "trace": {"kind": "zero"}},
+            "x=pi": {"kind": "dirichlet", "trace": {"kind": "cos", "sym_amp": {"kind": "sinh"}}},
+        }
+        config = {"model": "custom", "order": 36, "format": "json",
+                  "reference": "sinh(x)*cos(y)", "bc": bc}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(capsys, ["solve", "--config", str(path)])[0] == 0
+        change(bc)
+        path.write_text(json.dumps(config))
+        status, out, err = run_cli(capsys, ["solve", "--config", str(path)])
+        assert (status, out) == (1, "")
+        assert err.startswith("error: " + fragment), err
+
     def test_null_file_values_take_the_defaults(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(

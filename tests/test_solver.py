@@ -1,14 +1,19 @@
 """Recurrence propagation, closed-form transfer, seed inference, models."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dtm2d
 from dtm2d import (
     BoundarySpec,
     CauchySeed,
@@ -36,13 +41,14 @@ from dtm2d import (
     spectrum_diff,
     taylor_coeffs,
 )
+from dtm2d.closure import match_tables, match_terms, term_ks
 from dtm2d.solver import (
     BC_KINDS,
     _check_corners,
     _closure_targets,
+    _edge_trace,
     _even_transfer,
     _infer_exact,
-    _layer_match_terms,
     _match_residual,
     _odd_transfer,
     _trace_rounding,
@@ -357,17 +363,27 @@ class TestClosureMatch:
                 )
 
     def test_stepped_factors_match_transfer_definitions(self):
+        # a walk at each order reads the tables' first terms, wherever the
+        # tables end: exact factors and float weights, term by term
         for order in range(81):
+            rows, weights = match_tables(order)
             for m in range(order + 1):
                 for layer_index in (0, 1):
                     for kind in BC_KINDS:
+                        ks = term_ks(m, layer_index, kind, order)
+                        terms = match_terms(rows[m], ks, layer_index, kind)
                         stepped = [
-                            (j, Fraction(num, den), power) for j, num, den, power
-                            in _layer_match_terms(m, layer_index, kind, order)
+                            (m + 2 * k, Fraction(num, den), power)
+                            for k, (num, den, power) in zip(ks, terms)
                         ]
                         assert stepped == list(
                             _transfer_match_terms(m, layer_index, kind, order)
                         )
+                        row = weights[layer_index, kind][m]
+                        assert len(row) >= len(terms)
+                        assert list(row[: len(terms)]) == [
+                            num / den * math.pi**power for num, den, power in terms
+                        ]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -419,13 +435,77 @@ class TestClosureMatch:
                     assert got == _per_term_match_residual(*layers, kind, [], order)
 
 
+# Runs the steps given as arguments in one fresh interpreter, each a solve of
+# example3 at that order or "float" for the float-route closure of
+# test_polynomial_neumann_closure_uses_float_route, and prints every field of
+# the last result.
+_TABLE_STATE_SCRIPT = """
+import dataclasses, sys
+from fractions import Fraction
+from dtm2d import EdgeCondition, FuncSpec, MARCH_IN_N, Spectrum2D, infer_missing_seed, solve_example
+
+def float_route(order=12):
+    closure = EdgeCondition(
+        "y=pi", "neumann", FuncSpec(kind="polynomial", poly_coeffs=(0, 0, Fraction(1, 3)))
+    )
+    return infer_missing_seed([Fraction(0)] * (order + 1), 0, MARCH_IN_N, closure, order)
+
+for step in sys.argv[1:]:
+    result = float_route() if step == "float" else solve_example(3, int(step))
+fields = []
+for f in dataclasses.fields(result):
+    value = getattr(result, f.name)
+    if isinstance(value, Spectrum2D):
+        value = (value.order, value.origin, list(value.entries.items()))
+    elif isinstance(value, dict):
+        value = list(value.items())
+    fields.append((f.name, value))
+print(repr(fields))
+"""
+
+
+def _fresh_result(*steps):
+    env = dict(os.environ, PYTHONPATH=str(Path(dtm2d.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", _TABLE_STATE_SCRIPT, *steps],
+                         env=env, capture_output=True, text=True, check=True)
+    return run.stdout
+
+
+class TestMatchTableState:
+    """The closure-match tables grow with the largest order solved in a
+    process; no report may depend on how far they reach."""
+
+    @pytest.mark.parametrize("before, last", [
+        ("140", "40"),
+        ("40", "140"),
+        ("140", "float"),
+    ], ids=["down", "up", "float_route"])
+    def test_result_equals_fresh_interpreter(self, before, last):
+        alone = _fresh_result(last)
+        assert "working_order" in alone or "raw_floats" in alone
+        assert _fresh_result(before, last) == alone
+
+    def test_larger_order_replaces_tables_whole(self):
+        rows, weights = match_tables(20)
+        rows_copy = [list(row) for row in rows]
+        weights_copy = {key: [list(row) for row in rows_m] for key, rows_m in weights.items()}
+        order = len(rows) + 10  # past anything solved so far
+        grown_rows, grown_weights = match_tables(order)
+        assert len(grown_rows) == order + 1
+        # the old snapshot is left as it was: a walk holding it reads it to the end
+        assert [list(row) for row in rows] == rows_copy
+        assert {key: [list(row) for row in rows_m]
+                for key, rows_m in weights.items()} == weights_copy
+        again = match_tables(order - 5)
+        assert again[0] is grown_rows and again[1] is grown_weights
+
+
 def _fraction_infer_exact(known_index, closure_kind, targets, order):
     """Reference: the exact closure match solved and checked in Fractions."""
     values = [None] * (order + 1)
     inconsistency = 0.0
     for m in range(order, -1, -1):
-        for j, num, den, power in _layer_match_terms(m, 1 - known_index, closure_kind, order):
-            coef = Fraction(num, den)
+        for j, coef, power in _transfer_match_terms(m, 1 - known_index, closure_kind, order):
             rhs = Fraction(0)
             for q, s, _ in targets:
                 if s[power] != 0:
@@ -886,8 +966,10 @@ class TestClosedFormModel:
             small_fractions.filter(lambda a: a != 0), kinds, scales, kinds, scales,
         ), min_size=1, max_size=2))
         kind = data.draw(st.sampled_from(BC_KINDS))
-        model = closed_form_model("oracle", reference_descriptor(terms), kind, 12)
-        assert [c.edge for c in model.bc.conditions] == ["y=0", "y=pi", "x=0", "x=pi"]
+        # any closed form, harmonic or not: the traces are derived term by term
+        ref = ReferenceSolution(reference_descriptor(terms))
+        conditions = [EdgeCondition(edge, kind, _edge_trace(ref, edge, kind))
+                      for edge in ("y=0", "y=pi", "x=0", "x=pi")]
 
         def mp(q):
             return mpmath.mpf(q.numerator) / q.denominator
@@ -897,7 +979,7 @@ class TestClosedFormModel:
                        for a, f, kx, g, ky in terms)
 
         with mpmath.workdps(50):
-            for cond in model.bc.conditions:
+            for cond in conditions:
                 axis, at = cond.edge.split("=")
                 level = mpmath.pi if at == "pi" else mpmath.mpf(0)
                 for t in (i * math.pi / 6 for i in range(7)):
@@ -907,8 +989,37 @@ class TestClosedFormModel:
                     # mpmath.diff is good to far below 1e-30 at 50 digits
                     slack = _trace_rounding(cond.trace, t) + mpmath.mpf(10) ** -30
                     assert abs(trace_value(cond.trace, t) - exact) <= slack, (cond.edge, t)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_harmonic_model_carries_the_derived_traces(self, data):
+        trig, hyperbolic = st.sampled_from(("sin", "cos")), st.sampled_from(("sinh", "cosh"))
+        scales = st.builds(Fraction, st.integers(1, 6), st.integers(1, 4))
+        terms = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            f, g = data.draw(st.tuples(trig, hyperbolic) | st.tuples(hyperbolic, trig))
+            k = data.draw(scales)
+            terms.append((data.draw(small_fractions.filter(lambda a: a != 0)), f, k, g, k))
+        kind = data.draw(st.sampled_from(BC_KINDS))
+        descriptor = reference_descriptor(terms)
+        model = closed_form_model("oracle", descriptor, kind, 12)
+        ref = ReferenceSolution(descriptor)
+        assert model.reference == ref
+        assert model.bc.conditions == tuple(
+            EdgeCondition(edge, kind, _edge_trace(ref, edge, kind))
+            for edge in ("y=0", "y=pi", "x=0", "x=pi")
+        )
         at_origin = sum(a for a, f, _, g, _ in terms if {f, g} <= {"cos", "cosh"})
         assert model.origin_value == (at_origin if kind == "neumann" else 0)
+
+    @pytest.mark.parametrize("descriptor,term", [
+        ("cos(x)*cosh(2y)", "cos(x)*cosh(2y)"),
+        ("cos(x)*cos(y)", "cos(x)*cos(y)"),
+        ("sin(x)*sinh(y)-sinh(3/2x)*cosh(3/2y)", "sinh(3/2x)*cosh(3/2y)"),
+    ])
+    def test_non_harmonic_closed_form_refused(self, descriptor, term):
+        with pytest.raises(DtmError, match=re.escape(f"not harmonic: term {term} ")):
+            closed_form_model("bad", descriptor, "dirichlet", 12)
 
     def test_catalog_is_built_once_and_returned_as_a_copy(self):
         catalog = model_catalog()

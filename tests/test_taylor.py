@@ -15,6 +15,7 @@ from dtm2d import (
     taylor_coeffs,
     trace_value,
 )
+from dtm2d.taylor import TOKEN_KINDS
 
 from conftest import LEGACY_TOKEN_NAMES, enumerate_spectrum, formula_example1, small_fractions
 
@@ -193,6 +194,52 @@ class TestNumericalConsistency:
         assert abs(trace_value(f, t) - 2 * math.cos(2 * t) * math.sinh(2 * math.pi)) < 1e-12
 
 
+def _per_point_trace_value(f, t):
+    """Reference: every constant converted again at each point, per term
+    (amplitude * token) * base, summed in term order."""
+    total = 0.0
+    for term in f.flat_terms():
+        if term.kind == "zero" or term.amplitude == 0:
+            continue
+        u = float(term.arg_scale) * t
+        if term.kind == "polynomial":
+            base = 0.0
+            for c in reversed(term.poly_coeffs):
+                base = base * u + float(c)
+        else:
+            base = getattr(math, term.kind)(u)
+        token = term.sym_amp
+        token_value = 1.0 if token is None else getattr(math, token.kind)(
+            float(token.arg_scale) * math.pi
+        )
+        total += float(term.amplitude) * token_value * base
+    return total
+
+
+@st.composite
+def token_terms(draw):
+    term = draw(library_terms())
+    token = draw(st.none() | st.builds(
+        lambda kind, c: FuncSpec(kind=kind, arg_scale=c),
+        st.sampled_from(TOKEN_KINDS),
+        st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4),
+    ))
+    return FuncSpec(kind=term.kind, arg_scale=term.arg_scale, amplitude=term.amplitude,
+                    poly_coeffs=term.poly_coeffs, sym_amp=token)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(token_terms(), min_size=1, max_size=3),
+       st.lists(st.floats(-4, 4) | st.sampled_from((0.0, -0.0, math.pi)), min_size=1, max_size=5))
+def test_trace_value_bit_identical_to_per_point_evaluation(terms, ts):
+    # the first call converts the constants and the later ones reuse them
+    f = terms[0] if len(terms) == 1 else FuncSpec(terms=tuple(terms))
+    for t in ts + ts:
+        got, expected = trace_value(f, t), _per_point_trace_value(f, t)
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+        assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+
 class TestOuterProduct:
     def test_sinh_times_cos_restriction(self):
         order = 4
@@ -279,6 +326,16 @@ class TestValidationAndJson:
         assert funcspec_from_json(token) == FuncSpec(
             kind="cos", sym_amp=FuncSpec(kind="sinh", arg_scale=2)
         )
+
+    @pytest.mark.parametrize("data, key", [
+        ({"kind": "sin", "amplitud": "2"}, "amplitud"),
+        ({"kind": "sin", "sym_amp": {"kind": "sinh", "scale": "2"}}, "scale"),
+        ({"terms": [{"kind": "sin"}], "amplitude": "2"}, "amplitude"),
+        ({"terms": [{"kind": "sin", "knd": "cos"}]}, "knd"),
+    ])
+    def test_json_reader_refuses_unknown_keys(self, data, key):
+        with pytest.raises(DtmError, match=f"unknown trace key '{key}'"):
+            funcspec_from_json(data)
 
     def test_json_reader_sum_and_poly(self):
         f = FuncSpec(
