@@ -19,7 +19,7 @@ from the boundary condition on the opposite edge.  Inference has two routes:
   per degree.  Values within FLOAT_ZERO_TOL of zero become exact zeros; every
   other value is the exact binary rational of its float, so the layer is not
   exact and the report says "float".  It runs only when the exact route finds
-  the data inconsistent, or when a caller asks for it.
+  the data inconsistent.
 
 Both routes report the max-abs per-degree mismatch of the closure match as a
 residual; solve_model runs the inference at a working order derived from the
@@ -53,6 +53,9 @@ MARCH_IN_M = "march-in-m"  # seed columns m = 0, 1; closure edge x = pi
 # per-degree residual far below the warning threshold; larger scales c raise
 # the working order until (c*pi)**(W+1) / (W+1)! is as small (_working_order).
 MIN_WORKING_ORDER = 44
+# Largest working order whose float closure weights (closure.match_tables) are
+# all finite; from 499 the largest, C(W, 2k) pi**2k and kin, overflow.
+MAX_WORKING_ORDER = 498
 
 RESIDUAL_ERROR = 1e-6
 RESIDUAL_WARN = 1e-9
@@ -316,10 +319,9 @@ def _over_lcm(values: list[Fraction]) -> tuple[int, list[int]]:
 def _infer_exact(known_index, closure_kind, targets, order):
     """Match the unknown layer's pi-parity block degree-by-degree, exactly.
 
-    Returns (coeffs, undetermined, inconsistency) where inconsistency is the
-    max-abs violation among redundant equations (0.0 when fully consistent).
-    The unknown and known layers always occupy opposite pi parities, so the
-    known layer never enters these equations.
+    Returns (coeffs, undetermined), or None at the first redundant equation
+    the data violate.  The unknown and known layers always occupy opposite pi
+    parities, so the known layer never enters these equations.
 
     The work is done on integers.  Each target's trace and token series are
     written as numerators over their own lcm denominators, and the targets
@@ -328,14 +330,13 @@ def _infer_exact(known_index, closure_kind, targets, order):
     equation coef0 * U = rhs0 and becomes one Fraction at the end; a
     redundant equation coef * U = rhs holds exactly when
     coef * rhs0 == rhs * coef0, checked by cross-multiplying numerators and
-    denominators.  Only a mismatch builds a Fraction, to report its size.
+    denominators.
     """
     unknown_index = 1 - known_index
     parts = [(_over_lcm(q), _over_lcm(s)) for q, s, _ in targets]
     denom = math.lcm(*(dq * ds for (dq, _), (ds, _) in parts))
     scaled = [([a * (denom // (dq * ds)) for a in qn], sn) for (dq, qn), (ds, sn) in parts]
     first: list[Optional[tuple[int, int, int]]] = [None] * (order + 1)
-    inconsistency = 0.0
     rows, _ = match_tables(order)
     for m in range(order, -1, -1):
         ks = term_ks(m, unknown_index, closure_kind, order)
@@ -349,16 +350,14 @@ def _infer_exact(known_index, closure_kind, targets, order):
                 first[j] = (rhs, num, den)
                 continue
             rhs0, num0, den0 = first[j]
-            gap = num * rhs0 * den0 - rhs * num0 * den
-            if gap:  # coef * U - rhs / D, with U = rhs0 den0 / (D num0)
-                mismatch = Fraction(gap, denom * den * num0)
-                inconsistency = max(inconsistency, abs(float(mismatch)))
+            if num * rhs0 * den0 != rhs * num0 * den:
+                return None
     undetermined = tuple(j for j, eq in enumerate(first) if eq is None)
     coeffs = tuple(
         Fraction(0) if eq is None else Fraction(eq[0] * eq[2], denom * eq[1])
         for eq in first
     )
-    return coeffs, undetermined, inconsistency
+    return coeffs, undetermined
 
 
 def _infer_float(known, known_index, closure_kind, targets, order):
@@ -402,74 +401,51 @@ def _infer_float(known, known_index, closure_kind, targets, order):
 def infer_missing_seed(
     known_layer: Iterable[CoeffLike],
     known_layer_index: int,
-    axis: str,
     closure_edge: EdgeCondition,
-    order: int,
-    *,
-    method: str = "auto",
 ) -> InferredLayer:
     """Find the seed layer that makes the propagated series meet the far edge.
 
-    ``closure_edge`` must lie opposite the marching origin (y=pi for
-    march-in-n, x=pi for march-in-m).  Indices the closure cannot see are
+    ``closure_edge`` lies opposite the marching origin, so it fixes the
+    marching direction: y=pi closes a march in n, x=pi a march in m.  The
+    known layer's length fixes the working order, len(known_layer) - 1, which
+    may be at most MAX_WORKING_ORDER.  Indices the closure cannot see are
     returned as zero and listed in ``undetermined``; the caller decides what
     to pin there (the additive constant of an all-Neumann problem).
 
-    With ``method="auto"`` a consistent exact route's result stands; the
-    float route runs only when the exact route finds the data inconsistent.
-    ``"exact"`` raises instead of falling back; ``"float"`` runs the float
-    route alone.
+    The float route runs only when the exact route finds the data inconsistent.
     """
     if known_layer_index not in (0, 1):
         raise DtmError(f"known_layer_index must be 0 or 1, got {known_layer_index}")
-    if axis not in (MARCH_IN_N, MARCH_IN_M):
-        raise DtmError(f"unknown marching axis {axis!r}")
-    expected_edge = "y=pi" if axis == MARCH_IN_N else "x=pi"
-    if closure_edge.edge != expected_edge:
-        raise DtmError(
-            f"closure edge must be {expected_edge} for {axis}, got {closure_edge.edge}"
-        )
-    if method not in ("auto", "exact", "float"):
-        raise DtmError(f"unknown inference method {method!r}")
+    if closure_edge.edge not in ("y=pi", "x=pi"):
+        raise DtmError(f"closure edge must be y=pi or x=pi, got {closure_edge.edge}")
     known = [as_coeff(c) for c in known_layer]
-    if len(known) != order + 1:
-        raise DtmError(f"known layer must have length {order + 1}, got {len(known)}")
+    order = len(known) - 1
+    if not 0 <= order <= MAX_WORKING_ORDER:
+        raise DtmError(
+            f"working order {order} is outside 0 to {MAX_WORKING_ORDER}, where the closure "
+            f"weights are finite floats; lower the order or the argument scales"
+        )
 
     targets = _closure_targets(closure_edge.trace, order)
     kind = closure_edge.kind
-
-    def finish(coeffs, used, undetermined, raw_floats=None) -> InferredLayer:
-        pair = (coeffs, known) if known_layer_index == 1 else (known, coeffs)
-        residual, rounding = _match_residual(pair[0], pair[1], kind, targets, order)
-        # A residual within its own rounding bound shows no inconsistency.
-        if residual > RESIDUAL_ERROR and residual > rounding:
-            raise InferenceError(
-                f"closure condition on {closure_edge.edge} inconsistent: "
-                f"per-degree residual {residual:.3e} exceeds {RESIDUAL_ERROR:.0e} "
-                f"and its float rounding bound "
-                f"(method={used}, order={order}); raise the order or fix the data"
-            )
-        warning = None
-        if residual > RESIDUAL_WARN:
-            warning = f"closure residual {residual:.3e} above {RESIDUAL_WARN:.0e}"
-        return InferredLayer(coeffs, used, residual, warning, undetermined, raw_floats)
-
-    if method != "float":
-        coeffs, undetermined, inconsistency = _infer_exact(
-            known_layer_index, kind, targets, order
-        )
-        if inconsistency == 0.0:
-            return finish(coeffs, "exact", undetermined)
-        if method == "exact":
-            raise InferenceError(
-                f"exact parity matching inconsistent (max violation "
-                f"{inconsistency:.3e}); closure data does not factor through "
-                f"the pi-degree identity"
-            )
-    coeffs, undetermined, raw_floats = _infer_float(
+    exact = _infer_exact(known_layer_index, kind, targets, order)
+    method = "float" if exact is None else "exact"
+    coeffs, undetermined, raw_floats = (*exact, None) if exact is not None else _infer_float(
         known, known_layer_index, kind, targets, order
     )
-    return finish(coeffs, "float", undetermined, raw_floats)
+    pair = (coeffs, known) if known_layer_index == 1 else (known, coeffs)
+    residual, rounding = _match_residual(pair[0], pair[1], kind, targets, order)
+    # A residual within its own rounding bound shows no inconsistency.
+    if residual > RESIDUAL_ERROR and residual > rounding:
+        raise InferenceError(
+            f"closure condition on {closure_edge.edge} inconsistent: per-degree residual "
+            f"{residual:.3e} exceeds {RESIDUAL_ERROR:.0e} and its float rounding bound "
+            f"(method={method}, order={order}); raise the order or fix the data"
+        )
+    warning = None
+    if residual > RESIDUAL_WARN:
+        warning = f"closure residual {residual:.3e} above {RESIDUAL_WARN:.0e}"
+    return InferredLayer(coeffs, method, residual, warning, undetermined, raw_floats)
 
 
 # --------------------------------------------------------------------------
@@ -660,13 +636,7 @@ def solve_model(
         ) from exc
     _check_corners(bc)
 
-    inferred = infer_missing_seed(
-        known,
-        known_index,
-        axis,
-        bc.on(closure_edge),
-        working,
-    )
+    inferred = infer_missing_seed(known, known_index, bc.on(closure_edge))
     unknown = list(inferred.coeffs)
     origin_value = as_coeff(origin_value)
     if origin_value != 0:

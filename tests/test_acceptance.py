@@ -30,7 +30,7 @@ from dtm2d import (
     spectrum_diff,
     taylor_coeffs,
 )
-from dtm2d.solver import MARCH_IN_M
+from dtm2d.solver import MARCH_IN_M, _closure_targets, _infer_float
 
 from conftest import (
     MODEL_FORMULAS,
@@ -221,7 +221,8 @@ def test_a6_propagation_oracle():
     check("A6 (propagate == closed-form transfer, exact, N<=12)", ok, msg)
 
 
-def _model_inference(model_id: str, order: int, method: str = "auto"):
+def _model_closure(model_id: str, order: int):
+    """(known layer, its index, closure edge) of a catalog model at ``order``."""
     model = model_catalog()[model_id]
     axis = MODEL_AXES[model_id]
     seed_edge = "y=0" if axis == MARCH_IN_N else "x=0"
@@ -229,9 +230,11 @@ def _model_inference(model_id: str, order: int, method: str = "auto"):
     cond = model.bc.on(seed_edge)
     known = taylor_coeffs(cond.trace, order)
     known_index = 0 if cond.kind == "dirichlet" else 1
-    return infer_missing_seed(
-        known, known_index, axis, model.bc.on(closure_edge), order, method=method
-    )
+    return known, known_index, model.bc.on(closure_edge)
+
+
+def _model_inference(model_id: str, order: int):
+    return infer_missing_seed(*_model_closure(model_id, order))
 
 
 def test_a7_seed_inference():
@@ -245,9 +248,12 @@ def test_a7_seed_inference():
         details.append(f"{model_id} zero={zero}")
     # the float route is well-posed for the closure of example1:
     # raw float magnitudes stay under 1e-9, so the zero rule makes them 0
-    float_result = _model_inference("example1", 44, method="float")
-    pre = max(abs(v) for v in float_result.raw_floats)
-    ok = ok and pre < 1e-9 and all(c == 0 for c in float_result.coeffs)
+    known, known_index, closure = _model_closure("example1", 44)
+    coeffs, _, raw_floats = _infer_float(
+        known, known_index, closure.kind, _closure_targets(closure.trace, 44), 44
+    )
+    pre = max(abs(v) for v in raw_floats)
+    ok = ok and pre < 1e-9 and all(c == 0 for c in coeffs)
     details.append(f"example1 float raw {pre:.1e}")
     # example3's missing layer is the cos 2x row, recovered exactly
     result3 = _model_inference("example3", 44)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from dtm2d.cli import ConfigError, RunConfig, build_parser, main, parse_config
-from dtm2d.solver import model_catalog
+from dtm2d.solver import MAX_WORKING_ORDER, model_catalog
 
 from conftest import LEGACY_TOKEN_NAMES, enumerate_spectrum, formula_example3
 
@@ -38,6 +38,13 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["closed_form_max_err"] == pytest.approx(math.sinh(math.pi))
         assert payload["checks"]["passed"] is False
+
+    @pytest.mark.parametrize("order", [MAX_WORKING_ORDER + 1, 650])
+    def test_order_above_working_ceiling_is_config_error(self, capsys, order):
+        status, out, err = run_cli(capsys, ["solve", "--example", "1", "--order", str(order)])
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: working order") and str(MAX_WORKING_ORDER) in err
 
     def test_pretty_output_mentions_status(self, capsys):
         status, out, _ = run_cli(capsys, ["solve", "--example", "2", "--order", "24"])

@@ -1,12 +1,14 @@
 """Packaging rules that hold for the whole runtime."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import dtm2d
 
 SOURCES = sorted(Path(dtm2d.__file__).resolve().parent.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _imported_modules(path):
@@ -23,3 +25,12 @@ def test_runtime_imports_only_the_standard_library():
     for path in SOURCES:
         for name in _imported_modules(path):
             assert name in sys.stdlib_module_names or name == "dtm2d", (path.name, name)
+
+
+def test_readme_python_blocks_run():
+    # in order, in one namespace, as a reader would paste them
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

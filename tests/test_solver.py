@@ -20,7 +20,6 @@ from dtm2d import (
     DtmError,
     EdgeCondition,
     FuncSpec,
-    InferenceError,
     MARCH_IN_M,
     MARCH_IN_N,
     ReferenceSolution,
@@ -44,11 +43,13 @@ from dtm2d import (
 from dtm2d.closure import match_tables, match_terms, term_ks
 from dtm2d.solver import (
     BC_KINDS,
+    MAX_WORKING_ORDER,
     _check_corners,
     _closure_targets,
     _edge_trace,
     _even_transfer,
     _infer_exact,
+    _infer_float,
     _match_residual,
     _odd_transfer,
     _trace_rounding,
@@ -442,13 +443,13 @@ class TestClosureMatch:
 _TABLE_STATE_SCRIPT = """
 import dataclasses, sys
 from fractions import Fraction
-from dtm2d import EdgeCondition, FuncSpec, MARCH_IN_N, Spectrum2D, infer_missing_seed, solve_example
+from dtm2d import EdgeCondition, FuncSpec, Spectrum2D, infer_missing_seed, solve_example
 
 def float_route(order=12):
     closure = EdgeCondition(
         "y=pi", "neumann", FuncSpec(kind="polynomial", poly_coeffs=(0, 0, Fraction(1, 3)))
     )
-    return infer_missing_seed([Fraction(0)] * (order + 1), 0, MARCH_IN_N, closure, order)
+    return infer_missing_seed([Fraction(0)] * (order + 1), 0, closure)
 
 for step in sys.argv[1:]:
     result = float_route() if step == "float" else solve_example(3, int(step))
@@ -501,9 +502,10 @@ class TestMatchTableState:
 
 
 def _fraction_infer_exact(known_index, closure_kind, targets, order):
-    """Reference: the exact closure match solved and checked in Fractions."""
+    """Reference: the exact closure match solved and checked in Fractions.
+    Returns (coeffs, undetermined, consistent)."""
     values = [None] * (order + 1)
-    inconsistency = 0.0
+    consistent = True
     for m in range(order, -1, -1):
         for j, coef, power in _transfer_match_terms(m, 1 - known_index, closure_kind, order):
             rhs = Fraction(0)
@@ -513,10 +515,24 @@ def _fraction_infer_exact(known_index, closure_kind, targets, order):
             if values[j] is None:
                 values[j] = rhs / coef
             elif coef * values[j] != rhs:
-                inconsistency = max(inconsistency, abs(float(coef * values[j] - rhs)))
+                consistent = False
     undetermined = tuple(j for j in range(order + 1) if values[j] is None)
     coeffs = tuple(v if v is not None else Fraction(0) for v in values)
-    return coeffs, undetermined, inconsistency
+    return coeffs, undetermined, consistent
+
+
+def _check_infer_exact(known_index, closure_kind, targets, order):
+    """_infer_exact against the reference: the verdict on every input, the
+    coefficients and undetermined indices on consistent ones.  Returns the
+    verdict."""
+    got = _infer_exact(known_index, closure_kind, targets, order)
+    coeffs, undetermined, consistent = _fraction_infer_exact(
+        known_index, closure_kind, targets, order
+    )
+    assert (got is not None) == consistent
+    if consistent:
+        assert got == (coeffs, undetermined)
+    return consistent
 
 
 class TestInferExact:
@@ -546,10 +562,7 @@ class TestInferExact:
                             poly_coeffs=poly, sym_amp=token)
 
         trace = FuncSpec(terms=tuple(term() for _ in range(data.draw(st.integers(1, 3)))))
-        targets = _closure_targets(trace, order)
-        assert _infer_exact(known_index, kind, targets, order) == _fraction_infer_exact(
-            known_index, kind, targets, order
-        )
+        _check_infer_exact(known_index, kind, _closure_targets(trace, order), order)
 
     @pytest.mark.parametrize("trace,kind,known_index,consistent", [
         (FuncSpec(kind="cos", sym_amp=FuncSpec(kind="sinh")), "dirichlet", 0, True),  # example1
@@ -567,9 +580,7 @@ class TestInferExact:
     def test_consistent_and_inconsistent_cases(self, trace, kind, known_index, consistent):
         order = 44
         targets = _closure_targets(trace, order)
-        got = _infer_exact(known_index, kind, targets, order)
-        assert got == _fraction_infer_exact(known_index, kind, targets, order)
-        assert (got[2] == 0.0) == consistent
+        assert _check_infer_exact(known_index, kind, targets, order) == consistent
 
 
 @st.composite
@@ -635,30 +646,24 @@ class TestInferMissingSeed:
     def test_zero_layers_recovered(self, model_id):
         order = 44
         known, known_index = _model_known(model_id, order)
-        result = infer_missing_seed(
-            known, known_index, MODEL_AXES[model_id], _model_closure(model_id), order
-        )
+        result = infer_missing_seed(known, known_index, _model_closure(model_id))
         assert all(c == 0 for c in result.coeffs)
         assert result.warning is None
 
     def test_example1_float_route_raw_floats_small(self):
         order = 36
         known, known_index = _model_known("example1", order)
-        result = infer_missing_seed(
-            known, known_index, MARCH_IN_N, _model_closure("example1"), order,
-            method="float",
-        )
-        assert result.method == "float"
-        assert result.raw_floats is not None
-        assert max(abs(v) for v in result.raw_floats) < 1e-10
-        assert all(c == 0 for c in result.coeffs)
+        closure = _model_closure("example1")
+        targets = _closure_targets(closure.trace, order)
+        coeffs, _, raw_floats = _infer_float(known, known_index, closure.kind, targets, order)
+        assert raw_floats is not None
+        assert max(abs(v) for v in raw_floats) < 1e-10
+        assert all(c == 0 for c in coeffs)
 
     def test_example3_recovers_cos2x_row(self):
         order = 44
         known, known_index = _model_known("example3", order)
-        result = infer_missing_seed(
-            known, known_index, MARCH_IN_N, _model_closure("example3"), order
-        )
+        result = infer_missing_seed(known, known_index, _model_closure("example3"))
         assert result.method == "exact"
         assert result.undetermined == (0, 1)
         for j in range(2, order + 1):
@@ -668,51 +673,37 @@ class TestInferMissingSeed:
         order = 20
         zero = [Fraction(0)] * (order + 1)
         closure = EdgeCondition("y=pi", "dirichlet", FuncSpec(kind="zero"))
-        result = infer_missing_seed(zero, 0, MARCH_IN_N, closure, order)
+        result = infer_missing_seed(zero, 0, closure)
         assert all(c == 0 for c in result.coeffs)
         assert result.residual == 0.0
 
     def test_non_opposite_edge_rejected(self):
+        # the closure edge lies opposite a marching origin: y=0 and x=0 never do
         zero = [Fraction(0)] * 11
-        closure = EdgeCondition("y=0", "dirichlet", FuncSpec(kind="zero"))
-        with pytest.raises(DtmError, match="closure edge"):
-            infer_missing_seed(zero, 0, MARCH_IN_N, closure, 10)
-        closure = EdgeCondition("y=pi", "dirichlet", FuncSpec(kind="zero"))
-        with pytest.raises(DtmError, match="closure edge"):
-            infer_missing_seed(zero, 0, MARCH_IN_M, closure, 10)
-
-    def test_exact_route_rejects_scale_mismatch(self):
-        # cos(2t) paired with a scale-1 token cannot satisfy the pi-degree
-        # identity; the exact route must refuse rather than invent a layer
-        order = 20
-        known = taylor_coeffs(FuncSpec(kind="sinh"), order)
-        closure = EdgeCondition(
-            "y=pi", "dirichlet", FuncSpec(kind="cos", arg_scale=2, sym_amp=FuncSpec(kind="sinh"))
-        )
-        with pytest.raises(InferenceError, match="parity matching inconsistent"):
-            infer_missing_seed(known, 0, MARCH_IN_N, closure, order, method="exact")
+        for edge in ("y=0", "x=0"):
+            closure = EdgeCondition(edge, "dirichlet", FuncSpec(kind="zero"))
+            with pytest.raises(DtmError, match="closure edge"):
+                infer_missing_seed(zero, 0, closure)
 
     def test_bad_arguments(self):
         zero = [Fraction(0)] * 11
         closure = EdgeCondition("y=pi", "dirichlet", FuncSpec(kind="zero"))
         with pytest.raises(DtmError):
-            infer_missing_seed(zero, 2, MARCH_IN_N, closure, 10)
-        with pytest.raises(DtmError):
-            infer_missing_seed(zero[:-1], 0, MARCH_IN_N, closure, 10)
-        with pytest.raises(DtmError):
-            infer_missing_seed(zero, 0, MARCH_IN_N, closure, 10, method="magic")
+            infer_missing_seed(zero, 2, closure)
+        with pytest.raises(DtmError, match="working order -1 is outside"):
+            infer_missing_seed([], 0, closure)
 
     def test_polynomial_neumann_closure_uses_float_route(self):
         # u(x,0) = 0, u_y(x,pi) = x^2/3 has the harmonic solution
         # y*pi^2/3 + x^2 y/3 - y^3/9; the pi^2/3 entry cannot satisfy the
-        # pi-degree identity, so auto falls back to the float route
+        # pi-degree identity, so inference falls back to the float route
         order = 12
         zero = [Fraction(0)] * (order + 1)
         closure = EdgeCondition(
             "y=pi", "neumann",
             FuncSpec(kind="polynomial", poly_coeffs=(0, 0, Fraction(1, 3))),
         )
-        result = infer_missing_seed(zero, 0, MARCH_IN_N, closure, order)
+        result = infer_missing_seed(zero, 0, closure)
         assert result.method == "float"
         # tiny values become exact zeros, the rest are their floats' exact
         # binary rationals: no rounding to nearby small fractions
@@ -738,7 +729,7 @@ class TestInferMissingSeed:
             raise AssertionError("float route entered")
 
         monkeypatch.setattr("dtm2d.solver._infer_float", no_float_route)
-        result = infer_missing_seed(zero, 0, MARCH_IN_N, closure, order)
+        result = infer_missing_seed(zero, 0, closure)
         assert result.method == "exact"
         assert result.residual > 1e-9
         sin_x = taylor_coeffs(FuncSpec(kind="sin"), order)
@@ -746,6 +737,23 @@ class TestInferMissingSeed:
         # U(m, 1) for m < order; the last entry lies outside the triangle
         expected = tuple(a + 6 * b for a, b in zip(sin_x, sin_6x))
         assert result.coeffs[:order] == expected[:order]
+
+
+class TestWorkingOrderCeiling:
+    def test_closure_weights_finite_exactly_up_to_ceiling(self, monkeypatch):
+        # fresh tables, so the check does not depend on what ran before; the
+        # old tables come back after the test
+        for order, finite in ((MAX_WORKING_ORDER, True), (MAX_WORKING_ORDER + 1, False)):
+            monkeypatch.setattr("dtm2d.closure._TABLES", (-1, [], {}))
+            _, weights = match_tables(order)
+            values = (w for rows in weights.values() for row in rows for w in row)
+            assert all(map(math.isfinite, values)) == finite
+
+    @pytest.mark.parametrize("order", [MAX_WORKING_ORDER + 1, 650])
+    def test_solve_refuses_orders_above_ceiling(self, order):
+        # at 650 even math.pi**p, the tables' pi powers, overflows
+        with pytest.raises(DtmError, match=f"working order {order} is outside 0 to {MAX_WORKING_ORDER}"):
+            solve_example(1, order)
 
 
 class TestSolveModel:
