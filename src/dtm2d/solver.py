@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import verify
-from .closure import match_tables, match_terms, term_ks, weighted_terms
+from .closure import first_k, match_tables, match_terms, term_ks, weighted_terms
 
 # Unused here; kept importable because perfbench/tracer.py wraps these names.
 from .rules import dt_add, dt_derivative  # noqa: F401
@@ -158,29 +158,32 @@ def propagate(seed: CauchySeed) -> Spectrum2D:
 
     Marching in n fills U(m, n+2) = -[(m+1)(m+2) / ((n+1)(n+2))] U(m+2, n),
     each entry one Fraction built from the integer numerator and denominator
-    of that product.  Marching in m is the transposed computation: its keys
-    are written transposed as they are made, in the same order.
+    of that product.  Only nonzero entries are marched: each row is kept as
+    its (m, numerator, denominator) triples, each pair read from its Fraction
+    once, and only the two rows the recurrence reads are held.  Marching in m
+    is the transposed computation: its keys are written transposed as they
+    are made, in the same order.
     """
     n_order = seed.order
     swap = seed.axis == MARCH_IN_M
     table: dict[tuple[int, int], Fraction] = {}
+    rows: tuple[list, list] = ([], [])  # nonzero (m, num, den) of U(m, 0) and U(m, 1)
     for m in range(n_order + 1):
-        if seed.layer0[m] != 0:
-            table[(0, m) if swap else (m, 0)] = seed.layer0[m]
-        if m + 1 <= n_order and seed.layer1[m] != 0:
-            table[(1, m) if swap else (m, 1)] = seed.layer1[m]
-    rows = [seed.layer0, seed.layer1]  # rows[n][m] = U(m, n) in marching orientation
+        for n, c in ((0, seed.layer0[m]), (1, seed.layer1[m])):
+            num, den = c.as_integer_ratio()
+            if num and m + n <= n_order:
+                table[(n, m) if swap else (m, n)] = c
+                rows[n].append((m, num, den))
+    older, old = rows
     for n in range(n_order - 1):
-        prev_row, row = rows[n], [0] * (n_order - n - 1)
         b = (n + 1) * (n + 2)
-        for m in range(n_order - n - 1):
-            prev = prev_row[m + 2]
-            if prev:
-                row[m] = value = Fraction(
-                    -(m + 1) * (m + 2) * prev.numerator, b * prev.denominator
-                )
-                table[(n + 2, m) if swap else (m, n + 2)] = value
-        rows.append(row)
+        row = []
+        for m, num, den in older:  # U(m, n) with m <= n_order - n, so m - 2 fits row n + 2
+            if m >= 2:
+                value = Fraction(-(m - 1) * m * num, b * den)
+                table[(n + 2, m - 2) if swap else (m - 2, n + 2)] = value
+                row.append((m - 2, *value.as_integer_ratio()))
+        older, old = old, row
     return Spectrum2D(n_order, (Fraction(0), Fraction(0)), table)
 
 
@@ -215,9 +218,10 @@ def residual_laplacian(s: Spectrum2D) -> Spectrum2D:
     """Spectrum of u_xx + u_yy; empty exactly when s satisfies the recurrence.
 
     Entry (m, n) is (m+2)(m+1) U(m+2, n) + (n+2)(n+1) U(m, n+2).  A sum of
-    two entries is tested for cancellation by cross-multiplying numerators
-    and denominators, and only a nonzero entry becomes a Fraction.  The keys
-    come in the order of ``dt_add(dt_derivative(s, 2, 0), dt_derivative(s, 0, 2))``.
+    two entries is tested for cancellation by cross-multiplying the integer
+    pairs of the two Fractions, each read once, and only a nonzero entry
+    becomes a Fraction.  The keys come in the order of
+    ``dt_add(dt_derivative(s, 2, 0), dt_derivative(s, 0, 2))``.
     """
     if s.order < 2:
         raise DtmError(f"need order >= 2 to form the Laplacian, got {s.order}")
@@ -232,9 +236,11 @@ def residual_laplacian(s: Spectrum2D) -> Spectrum2D:
             table[(m - 2, n)] = a * c
             continue
         b = (n + 2) * (n + 1)
-        p, q = a * c.numerator * other.denominator, b * other.numerator * c.denominator
+        c_num, c_den = c.as_integer_ratio()
+        o_num, o_den = other.as_integer_ratio()
+        p, q = a * c_num * o_den, b * o_num * c_den
         if p != -q:
-            table[(m - 2, n)] = Fraction(p + q, c.denominator * other.denominator)
+            table[(m - 2, n)] = Fraction(p + q, c_den * o_den)
     for (m, n), c in u.items():
         if n >= 2 and (m + 2, n - 2) not in u:
             table[(m, n - 2)] = n * (n - 1) * c
@@ -285,21 +291,23 @@ def _match_residual(
     8) times the sum of the terms' magnitudes (at most order + len(targets) + 2
     terms of at most five roundings each; Higham, ch. 3).  Degree m reaches
     only j = m + 2k, so a layer's walk stops at its last nonzero entry of m's
-    parity: the same terms are summed in the same order."""
+    parity: the same terms are summed in the same order.  Each entry is tested
+    for zero once per call, not once per term."""
     _, weights = match_tables(order)
     layers = []
     for index, layer in enumerate((list(layer0), list(layer1))):
-        top = [max((j for j, c in enumerate(layer) if c and j % 2 == p), default=-1)
+        live = [bool(c) for c in layer]
+        top = [max((j for j, c in enumerate(live) if c and j % 2 == p), default=-1)
                for p in (0, 1)]
-        layers.append((index, layer, [float(c) for c in layer], top))
+        layers.append((index, live, [float(c) for c in layer], top))
     unit = (order + len(targets) + 8) * 2.0**-53
     worst = bound = 0.0
     for m in range(order + 1):
         lhs = size = 0.0
-        for index, layer, floats, top in layers:
+        for index, live, floats, top in layers:
             last = min(order - index, top[m % 2])
             for j, weight in weighted_terms(weights, m, index, closure_kind, last):
-                if layer[j]:
+                if live[j]:
                     term = weight * floats[j]
                     lhs += term
                     size += abs(term)
@@ -310,12 +318,6 @@ def _match_residual(
     return worst, bound
 
 
-def _over_lcm(values: list[Fraction]) -> tuple[int, list[int]]:
-    """(D, [D * v for v in values]) with D the lcm of the values' denominators."""
-    denom = math.lcm(*(v.denominator for v in values))
-    return denom, [v.numerator * (denom // v.denominator) for v in values]
-
-
 def _infer_exact(known_index, closure_kind, targets, order):
     """Match the unknown layer's pi-parity block degree-by-degree, exactly.
 
@@ -323,40 +325,60 @@ def _infer_exact(known_index, closure_kind, targets, order):
     the data violate.  The unknown and known layers always occupy opposite pi
     parities, so the known layer never enters these equations.
 
-    The work is done on integers.  Each target's trace and token series are
-    written as numerators over their own lcm denominators, and the targets
-    are scaled to one common denominator D, so the right side of each
-    equation is one integer over D.  An unknown entry U is fixed by its first
-    equation coef0 * U = rhs0 and becomes one Fraction at the end; a
-    redundant equation coef * U = rhs holds exactly when
-    coef * rhs0 == rhs * coef0, checked by cross-multiplying numerators and
-    denominators.
+    The work is done on integer pairs, each equation on its own denominators:
+    every q[m] and s[p] is read as (numerator, denominator) once per call, and
+    a right side, sum q[m] s[p], is one unreduced pair.  Row m's first term
+    (k = first_k) fixes U(m + 2k); each later term revisits an entry fixed by
+    an earlier row and holds exactly when the cross-multiplied pairs agree.
+    In a zero row every target has q[m] = 0 or a token zero at every power
+    the row reads, so every right side is 0: its new entry is 0, and its later
+    equations hold exactly when every entry fixed so far at m's parity is 0,
+    which one flag per parity answers.  Each solved entry becomes a Fraction
+    once, at the end.
     """
     unknown_index = 1 - known_index
-    parts = [(_over_lcm(q), _over_lcm(s)) for q, s, _ in targets]
-    denom = math.lcm(*(dq * ds for (dq, _), (ds, _) in parts))
-    scaled = [([a * (denom // (dq * ds)) for a in qn], sn) for (dq, qn), (ds, sn) in parts]
-    first: list[Optional[tuple[int, int, int]]] = [None] * (order + 1)
+    k0 = first_k(unknown_index, closure_kind)
+    # The pi powers the unknown layer reads (match_terms) are all odd for a
+    # Dirichlet layer 1 or a Neumann layer 0, all even otherwise.
+    odd = (unknown_index == 1) != (closure_kind == "neumann")
+    terms = []
+    for q, s, _ in targets:
+        s_pairs = [c.as_integer_ratio() for c in s]
+        if any(s_pairs[p][0] for p in range(odd, order + 1, 2)):
+            terms.append((q, s_pairs))
+    solved: list[Optional[tuple[int, int]]] = [None] * (order + 1)  # U(j), unreduced
+    nonzero = [False, False]  # some solved U(j) of that parity is nonzero
     rows, _ = match_tables(order)
     for m in range(order, -1, -1):
         ks = term_ks(m, unknown_index, closure_kind, order)
-        for k, (num, den, power) in zip(ks, match_terms(rows[m], ks, unknown_index, closure_kind)):
-            j = m + 2 * k
-            rhs = 0
-            for qn, sn in scaled:
-                if sn[power]:
-                    rhs += qn[m] * sn[power]
-            if first[j] is None:
-                first[j] = (rhs, num, den)
-                continue
-            rhs0, num0, den0 = first[j]
-            if num * rhs0 * den0 != rhs * num0 * den:
+        if not ks:
+            continue
+        live = []
+        for q, s_pairs in terms:
+            a, b = q[m].as_integer_ratio()
+            if a:
+                live.append((a, b, s_pairs))
+        if not live:
+            if nonzero[m % 2]:
                 return None
-    undetermined = tuple(j for j, eq in enumerate(first) if eq is None)
-    coeffs = tuple(
-        Fraction(0) if eq is None else Fraction(eq[0] * eq[2], denom * eq[1])
-        for eq in first
-    )
+            solved[m + 2 * k0] = (0, 1)
+            continue
+        for k, (num, den, power) in zip(ks, match_terms(rows[m], ks, unknown_index, closure_kind)):
+            rhs_num, rhs_den = 0, 1
+            for a, b, s_pairs in live:
+                c, d = s_pairs[power]
+                if c:
+                    rhs_num, rhs_den = rhs_num * b * d + a * c * rhs_den, rhs_den * b * d
+            j = m + 2 * k
+            if k == k0:
+                solved[j] = (rhs_num * den, rhs_den * num)
+                nonzero[j % 2] |= rhs_num != 0
+                continue
+            u_num, u_den = solved[j]
+            if (rhs_num or u_num) and num * u_num * rhs_den != rhs_num * den * u_den:
+                return None
+    undetermined = tuple(j for j, u in enumerate(solved) if u is None)
+    coeffs = tuple(Fraction(0) if u is None else Fraction(*u) for u in solved)
     return coeffs, undetermined
 
 
@@ -576,7 +598,11 @@ def _check_corners(bc: BoundarySpec) -> None:
 def _working_order(bc: BoundarySpec, order: int) -> int:
     """Least W >= max(order, MIN_WORKING_ORDER) whose tail at the largest
     argument scale c of any term or token, (c*pi)**(W+1) / (W+1)!, is at most
-    the catalog's (2*pi)**45 / 45!; scales up to 2 meet that at the floor."""
+    the catalog's (2*pi)**45 / 45!; scales up to 2 meet that at the floor.
+
+    Raises DtmError naming c when it alone lifts W above MAX_WORKING_ORDER,
+    so that no order can be solved; an order above the ceiling is left to
+    :func:`infer_missing_seed` to refuse."""
 
     def log_tail(scale, w):
         return (w + 1) * math.log(scale * math.pi) - math.lgamma(w + 2)
@@ -590,6 +616,12 @@ def _working_order(bc: BoundarySpec, order: int) -> int:
     working = max(order, MIN_WORKING_ORDER)
     while c > 2 and log_tail(c, working) > log_tail(2, MIN_WORKING_ORDER):
         working += 1
+    if working > MAX_WORKING_ORDER >= order:
+        raise DtmError(
+            f"argument scale {c} needs working order {working} to resolve the closure "
+            f"series, above {MAX_WORKING_ORDER}, where the closure weights are finite "
+            f"floats; no order can be solved at this scale"
+        )
     return working
 
 

@@ -61,7 +61,8 @@ def _project(s: Spectrum2D, r: int = 0, q: int = 0) -> list[list[float]]:
     Rows run from the highest stored m down to 0, each from its highest
     stored n down to 0 (empty without entries): Horner from 0.0 stays +0.0
     through the trimmed +0.0 slots, so no value or sign of zero changes.  The
-    entry from U(m, n) is (perm(m, r) perm(n, q) U.numerator) / U.denominator:
+    entry from U(m, n) is (perm(m, r) perm(n, q) U.numerator) / U.denominator,
+    the pair read once from U and the perm factors skipped when r = q = 0:
     one correctly rounded integer division, the same float as ``float()`` of
     the differentiated entry, without building a derivative spectrum.
     """
@@ -75,9 +76,10 @@ def _project(s: Spectrum2D, r: int = 0, q: int = 0) -> list[list[float]]:
     for (m, n), c in s.entries.items():
         if m >= r and n >= q:
             i, j = m - r, n - q
-            rows[i][top[i] - j] = (
-                math.perm(m, r) * math.perm(n, q) * c.numerator / c.denominator
-            )
+            num, den = c.as_integer_ratio()
+            if r or q:
+                num *= math.perm(m, r) * math.perm(n, q)
+            rows[i][top[i] - j] = num / den
     rows.reverse()
     return rows
 

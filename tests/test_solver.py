@@ -1,7 +1,11 @@
 """Recurrence propagation, closed-form transfer, seed inference, models."""
 
+import functools
+import hashlib
+import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -582,6 +586,34 @@ class TestInferExact:
         targets = _closure_targets(trace, order)
         assert _check_infer_exact(known_index, kind, targets, order) == consistent
 
+    def test_all_zero_layer_at_high_order(self):
+        # example1's closure: every row is a zero row, so every entry is 0
+        order = 140
+        targets = _closure_targets(model_catalog()["example1"].bc.on("y=pi").trace, order)
+        assert _check_infer_exact(0, "dirichlet", targets, order)
+        coeffs, undetermined = _infer_exact(0, "dirichlet", targets, order)
+        assert undetermined == (order,) and not any(coeffs)
+
+    def test_nonzero_entry_meets_later_zero_row(self):
+        # x**2 fixes U(2) = 1 in row 2; row 0 is a zero row (q[0] = 0) whose
+        # second equation reads U(2) against a zero right side
+        trace = FuncSpec(kind="polynomial", poly_coeffs=(0, 0, 1))
+        targets = _closure_targets(trace, 44)
+        assert not _check_infer_exact(1, "dirichlet", targets, 44)
+        assert _infer_exact(1, "dirichlet", targets, 44) is None
+
+    def test_two_targets_cancel_exactly(self):
+        # each row has two live targets whose right sides sum to exactly 0
+        trace = FuncSpec(terms=(
+            FuncSpec(kind="sin", amplitude=Fraction(2, 3), sym_amp=FuncSpec(kind="sinh")),
+            FuncSpec(kind="sin", amplitude=Fraction(-2, 3), sym_amp=FuncSpec(kind="sinh")),
+        ))
+        order = 60
+        targets = _closure_targets(trace, order)
+        assert _check_infer_exact(0, "dirichlet", targets, order)
+        coeffs, _ = _infer_exact(0, "dirichlet", targets, order)
+        assert not any(coeffs)
+
 
 @st.composite
 def laplacian_inputs(draw):
@@ -754,6 +786,13 @@ class TestWorkingOrderCeiling:
         # at 650 even math.pi**p, the tables' pi powers, overflows
         with pytest.raises(DtmError, match=f"working order {order} is outside 0 to {MAX_WORKING_ORDER}"):
             solve_example(1, order)
+
+    def test_scale_past_ceiling_named_at_any_order(self):
+        # scale 60 needs working order 553 whatever order is asked for
+        model = closed_form_model("s", "sin(60x)*sinh(60y)", "dirichlet", 10)
+        for order in (10, MAX_WORKING_ORDER):
+            with pytest.raises(DtmError, match="argument scale 60 needs working order 553"):
+                solve_model(model.bc, order)
 
 
 class TestSolveModel:
@@ -958,6 +997,59 @@ class TestSolveModel:
             EdgeCondition("z=0", "dirichlet", FuncSpec(kind="zero"))
         with pytest.raises(DtmError, match="kind"):
             EdgeCondition("x=0", "robin", FuncSpec(kind="zero"))
+
+
+MIXED_FORMS = ("sin(x)*sinh(y)+cos(x)*cosh(y)", "sin(x)*sinh(y)-1/2*cos(2x)*cosh(2y)")
+
+
+@functools.cache
+def high_order_report_digests() -> tuple[str, str]:
+    """sha256 pair over solve_model reports at orders 100 and 140 with 2 and
+    41 boundary samples: each catalog model scaled by -7/5, and each of
+    MIXED_FORMS with all-Dirichlet and all-Neumann data.  The first hashes
+    the exact parts (spectrum and PDE residual entries in key order, the
+    inference method and the warning), the second the edge residuals and
+    the inference residual, floats that pass through the platform's libm."""
+    cases, c = [], Fraction(-7, 5)
+    for model_id, model in sorted(model_catalog().items()):
+        bc = BoundarySpec(tuple(
+            replace(cond, trace=replace(cond.trace, amplitude=cond.trace.amplitude * c))
+            for cond in model.bc.conditions
+        ))
+        cases.append((model_id, bc, model.origin_value * c))
+    for descriptor in MIXED_FORMS:
+        for kind in BC_KINDS:
+            model = closed_form_model(descriptor, descriptor, kind, 0)
+            cases.append((f"{descriptor} {kind}", model.bc, model.origin_value))
+    exact, floats = hashlib.sha256(), hashlib.sha256()
+    for name, bc, origin in cases:
+        for order in (100, 140):
+            for samples in (2, 41):
+                report = solve_model(bc, order, origin_value=origin, boundary_samples=samples)
+                exact.update(json.dumps([
+                    name, order, samples,
+                    [[m, n, str(v)] for (m, n), v in report.spectrum.entries.items()],
+                    [[m, n, str(v)] for (m, n), v in report.pde_residual_spectrum.entries.items()],
+                    report.inference_method, report.warning,
+                ]).encode())
+                floats.update(repr(
+                    [list(report.boundary_residuals.items()), report.inference_residual]
+                ).encode())
+    return exact.hexdigest(), floats.hexdigest()
+
+
+def test_high_order_report_digest():
+    assert high_order_report_digests()[0] == (
+        "c4fd4d40c94e0f339861fcff3f8d927aabb0d4f6a211c25b2d7cb4112ada1ea3"
+    )
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="residual floats depend on libm's sin, sinh and pow")
+def test_high_order_report_float_digest():
+    assert high_order_report_digests()[1] == (
+        "80412e7a2f4a50bd6bb294f4a52547344d68ed4a0fc3e569a66580e05708c958"
+    )
 
 
 class TestClosedFormModel:
