@@ -6,7 +6,11 @@ Transforming u_xx + u_yy = 0 turns the coefficient table into the recurrence
 
 so two consecutive seed rows (or columns) determine the whole triangle.  One
 seed layer comes from the edge at the marching origin; the other is inferred
-from the boundary condition on the opposite edge.  Inference has two routes:
+from the boundary condition on the opposite edge.  Marching in n gives
+U(m, 2k) = (-1)**k C(m+2k, 2k) layer0[m+2k] and U(m, 2k+1) = that binomial
+over 2k+1 times layer1[m+2k], so matching the closure edge degree by degree
+in x weighs each seed entry j = m + 2k by one such factor times a power of
+pi.  Inference has two routes:
 
 * an exact route that matches the closure identity degree-by-degree in pi,
   treating pi as an indeterminate.  The unknown layer's terms always carry
@@ -21,7 +25,10 @@ from the boundary condition on the opposite edge.  Inference has two routes:
   exact and the report says "float".  It runs only when the exact route finds
   the data inconsistent.
 
-Both routes report the max-abs per-degree mismatch of the closure match as a
+The factors depend on no data, so one pair of tables serves every solve in a
+process (:func:`_match_tables`): the integer factors for the exact route, and
+each term's float weight for the float route and the closure residual.  Both
+routes report the max-abs per-degree mismatch of the closure match as a
 residual; solve_model runs the inference at a working order derived from the
 data's argument scales, which resolves the closure series well below them.
 """
@@ -29,12 +36,12 @@ data's argument scales, which resolves the closure series well below them.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import verify
-from .closure import first_k, match_tables, match_terms, term_ks, weighted_terms
 
 # Unused here; kept importable because perfbench/tracer.py wraps these names.
 from .rules import dt_add, dt_derivative  # noqa: F401
@@ -53,8 +60,8 @@ MARCH_IN_M = "march-in-m"  # seed columns m = 0, 1; closure edge x = pi
 # per-degree residual far below the warning threshold; larger scales c raise
 # the working order until (c*pi)**(W+1) / (W+1)! is as small (_working_order).
 MIN_WORKING_ORDER = 44
-# Largest working order whose float closure weights (closure.match_tables) are
-# all finite; from 499 the largest, C(W, 2k) pi**2k and kin, overflow.
+# Largest working order whose float closure weights (_match_tables) are all
+# finite; from 499 the largest, C(W, 2k) pi**2k and kin, overflow.
 MAX_WORKING_ORDER = 498
 
 RESIDUAL_ERROR = 1e-6
@@ -265,6 +272,84 @@ class InferredLayer:
 
 _ONE = FuncSpec(kind="polynomial", poly_coeffs=(1,))  # the token of a term without one
 
+# (order covered, rows, weights) of the closure-match tables (_match_tables)
+_TABLES = (-1, [], {})
+_OWN_WEIGHTS = ((0, "dirichlet"), (0, "neumann"), (1, "dirichlet"))
+
+
+def _first_k(layer_index: int, closure_kind: str) -> int:
+    """The first k of a layer's closure-match terms: a Neumann closure sees
+    n U(m, n), so layer 0's entry at n = 0 drops out."""
+    return 1 if layer_index == 0 and closure_kind == "neumann" else 0
+
+
+def _term_ks(m: int, layer_index: int, closure_kind: str, order: int) -> range:
+    """The k of a layer's closure-match terms at x-degree m: every entry
+    j = m + 2k of the layer within the order's triangle."""
+    return range(_first_k(layer_index, closure_kind), (order - m - layer_index) // 2 + 1)
+
+
+def _match_terms(row: list[int], ks: range, layer_index: int, closure_kind: str):
+    """(numerator, denominator, pi power) of each closure-match term k in ks
+    of one layer at x-degree m, with row[k] = (-1)**k C(m+2k, 2k): the term of
+    seed entry j = m + 2k.  Dirichlet matches sum_n U(m, n) pi**n, Neumann
+    sum_n n U(m, n) pi**(n-1); the odd transfer factor is row[k] / (2k+1)."""
+    if layer_index == 1 and closure_kind == "dirichlet":
+        return [(row[k], 2 * k + 1, 2 * k + 1) for k in ks]
+    if layer_index == 0 and closure_kind == "neumann":
+        return [(2 * k * row[k], 1, 2 * k - 1) for k in ks]
+    return [(row[k], 1, 2 * k) for k in ks]
+
+
+def _match_tables(order: int) -> tuple[list[list[int]], dict]:
+    """The closure-match tables (rows, weights), covering at least ``order``:
+    rows[m][k] = (-1)**k C(m+2k, 2k) as an int, for every k with m + 2k within
+    the order, and weights[layer, kind][m][i] = num / den * pi**power of term
+    k = _first_k(layer, kind) + i (:func:`_match_terms`), as an array of
+    doubles.  Layer 1 under a Neumann closure has layer 0's Dirichlet terms,
+    e pi**2k, one fewer at most, so the two share their arrays.
+
+    Each row is stepped along k by the march recurrence as an exact integer,
+    e(m, k+1) = -e(m, k) (j+1)(j+2) / ((2k+1)(2k+2)) with j = m + 2k; a row
+    the tables already hold is continued from its last entry.  A larger order
+    builds new rows and arrays and replaces the snapshot whole, so a walk
+    never sees a half-built row; a walk at order W reads only the first terms
+    of each row, so no result depends on how far the tables reach.
+    """
+    global _TABLES
+    covered, rows, weights = _TABLES
+    if order <= covered:
+        return rows, weights
+    pi_powers = [math.pi**p for p in range(order + 1)]
+    new_rows: list[list[int]] = []
+    new_weights: dict = {key: [] for key in _OWN_WEIGHTS}
+    for m in range(order + 1):
+        row = rows[m] if m < len(rows) else [1]
+        tail, e = [], row[-1]
+        for k in range(len(row) - 1, (order - m) // 2):
+            j = m + 2 * k
+            e = -e * (j + 1) * (j + 2) // ((2 * k + 1) * (2 * k + 2))
+            tail.append(e)
+        row = row + tail if tail else row
+        new_rows.append(row)
+        for layer_index, kind in _OWN_WEIGHTS:
+            new = weights[layer_index, kind][m] if m < len(rows) else array("d")
+            ks = _term_ks(m, layer_index, kind, order)[len(new):]
+            if ks:
+                new = new + array("d", [num / den * pi_powers[power] for num, den, power
+                                        in _match_terms(row, ks, layer_index, kind)])
+            new_weights[layer_index, kind].append(new)
+    new_weights[1, "neumann"] = new_weights[0, "dirichlet"]
+    _TABLES = (order, new_rows, new_weights)
+    return new_rows, new_weights
+
+
+def _weighted_terms(weights: dict, m: int, layer_index: int, closure_kind: str, last: int):
+    """(j, float weight) of a layer's closure-match terms at x-degree m, for
+    the entries j up to ``last``."""
+    first = m + 2 * _first_k(layer_index, closure_kind)
+    return zip(range(first, last + 1, 2), weights[layer_index, closure_kind][m])
+
 
 def _closure_targets(trace: FuncSpec, order: int):
     """Per-term (exact coefficients, token pi-series, token float value)."""
@@ -293,7 +378,7 @@ def _match_residual(
     only j = m + 2k, so a layer's walk stops at its last nonzero entry of m's
     parity: the same terms are summed in the same order.  Each entry is tested
     for zero once per call, not once per term."""
-    _, weights = match_tables(order)
+    _, weights = _match_tables(order)
     layers = []
     for index, layer in enumerate((list(layer0), list(layer1))):
         live = [bool(c) for c in layer]
@@ -306,7 +391,7 @@ def _match_residual(
         lhs = size = 0.0
         for index, live, floats, top in layers:
             last = min(order - index, top[m % 2])
-            for j, weight in weighted_terms(weights, m, index, closure_kind, last):
+            for j, weight in _weighted_terms(weights, m, index, closure_kind, last):
                 if live[j]:
                     term = weight * floats[j]
                     lhs += term
@@ -323,12 +408,15 @@ def _infer_exact(known_index, closure_kind, targets, order):
 
     Returns (coeffs, undetermined), or None at the first redundant equation
     the data violate.  The unknown and known layers always occupy opposite pi
-    parities, so the known layer never enters these equations.
+    parities, so these equations hold only the unknown layer; the known
+    layer's block is left to the float :func:`_match_residual`, afterwards.
+    So u(x, 0) = sin x, other edges 0, passes here at W = 44 and then fails
+    with residual 1.159e+01 (ROADMAP item 2).
 
     The work is done on integer pairs, each equation on its own denominators:
     every q[m] and s[p] is read as (numerator, denominator) once per call, and
     a right side, sum q[m] s[p], is one unreduced pair.  Row m's first term
-    (k = first_k) fixes U(m + 2k); each later term revisits an entry fixed by
+    (k = _first_k) fixes U(m + 2k); each later term revisits an entry fixed by
     an earlier row and holds exactly when the cross-multiplied pairs agree.
     In a zero row every target has q[m] = 0 or a token zero at every power
     the row reads, so every right side is 0: its new entry is 0, and its later
@@ -337,8 +425,8 @@ def _infer_exact(known_index, closure_kind, targets, order):
     once, at the end.
     """
     unknown_index = 1 - known_index
-    k0 = first_k(unknown_index, closure_kind)
-    # The pi powers the unknown layer reads (match_terms) are all odd for a
+    k0 = _first_k(unknown_index, closure_kind)
+    # The pi powers the unknown layer reads (_match_terms) are all odd for a
     # Dirichlet layer 1 or a Neumann layer 0, all even otherwise.
     odd = (unknown_index == 1) != (closure_kind == "neumann")
     terms = []
@@ -348,9 +436,9 @@ def _infer_exact(known_index, closure_kind, targets, order):
             terms.append((q, s_pairs))
     solved: list[Optional[tuple[int, int]]] = [None] * (order + 1)  # U(j), unreduced
     nonzero = [False, False]  # some solved U(j) of that parity is nonzero
-    rows, _ = match_tables(order)
+    rows, _ = _match_tables(order)
     for m in range(order, -1, -1):
-        ks = term_ks(m, unknown_index, closure_kind, order)
+        ks = _term_ks(m, unknown_index, closure_kind, order)
         if not ks:
             continue
         live = []
@@ -363,7 +451,9 @@ def _infer_exact(known_index, closure_kind, targets, order):
                 return None
             solved[m + 2 * k0] = (0, 1)
             continue
-        for k, (num, den, power) in zip(ks, match_terms(rows[m], ks, unknown_index, closure_kind)):
+        for k, (num, den, power) in zip(
+            ks, _match_terms(rows[m], ks, unknown_index, closure_kind)
+        ):
             rhs_num, rhs_den = 0, 1
             for a, b, s_pairs in live:
                 c, d = s_pairs[power]
@@ -395,15 +485,15 @@ def _infer_float(known, known_index, closure_kind, targets, order):
         sum(float(q[m]) * value for q, _, value in targets)
         for m in range(order + 1)
     ]
-    _, weights = match_tables(order)
+    _, weights = _match_tables(order)
     raw: list[Optional[float]] = [None] * (order + 1)
     for m in range(order, -1, -1):
         lead: Optional[tuple[int, float]] = None
         rhs = target_f[m]
-        for j, weight in weighted_terms(weights, m, known_index, closure_kind,
+        for j, weight in _weighted_terms(weights, m, known_index, closure_kind,
                                          order - known_index):
             rhs -= weight * known_f[j]
-        for j, weight in weighted_terms(weights, m, unknown_index, closure_kind,
+        for j, weight in _weighted_terms(weights, m, unknown_index, closure_kind,
                                          order - unknown_index):
             if lead is None:
                 lead = (j, weight)
@@ -597,8 +687,12 @@ def _check_corners(bc: BoundarySpec) -> None:
 
 def _working_order(bc: BoundarySpec, order: int) -> int:
     """Least W >= max(order, MIN_WORKING_ORDER) whose tail at the largest
-    argument scale c of any term or token, (c*pi)**(W+1) / (W+1)!, is at most
-    the catalog's (2*pi)**45 / 45!; scales up to 2 meet that at the floor.
+    argument scale c, (c*pi)**(W+1) / (W+1)!, is at most the catalog's
+    (2*pi)**45 / 45!; scales up to 2 meet that at the floor.  c is taken over
+    every token and every term with an infinite series (a sin, cos, sinh,
+    cosh or exp of nonzero amplitude); a zero or polynomial term has no tail.
+    No w with w + 1 <= e*pi*c meets the target (there the tail is at least
+    1 / (e sqrt(w + 1)) by Stirling), so the search starts just below e*pi*c.
 
     Raises DtmError naming c when it alone lifts W above MAX_WORKING_ORDER,
     so that no order can be solved; an order above the ceiling is left to
@@ -607,15 +701,20 @@ def _working_order(bc: BoundarySpec, order: int) -> int:
     def log_tail(scale, w):
         return (w + 1) * math.log(scale * math.pi) - math.lgamma(w + 2)
 
-    c = max(
-        abs(spec.arg_scale)
-        for cond in bc.conditions
-        for term in cond.trace.flat_terms()
-        for spec in (term, term.sym_amp or term)
-    )
+    scales = [0]
+    for cond in bc.conditions:
+        for term in cond.trace.flat_terms():
+            if term.kind in _DERIVATIVE_KIND and term.amplitude:  # the series kinds
+                scales.append(abs(term.arg_scale))
+            if term.sym_amp is not None:
+                scales.append(abs(term.sym_amp.arg_scale))
+    c = max(scales)
     working = max(order, MIN_WORKING_ORDER)
-    while c > 2 and log_tail(c, working) > log_tail(2, MIN_WORKING_ORDER):
-        working += 1
+    if c > 2:
+        working = max(working, math.ceil(math.e * math.pi * c) - 2)
+        scale, target = float(c), log_tail(2, MIN_WORKING_ORDER)
+        while log_tail(scale, working) > target:
+            working += 1
     if working > MAX_WORKING_ORDER >= order:
         raise DtmError(
             f"argument scale {c} needs working order {working} to resolve the closure "

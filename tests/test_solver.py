@@ -44,10 +44,10 @@ from dtm2d import (
     spectrum_diff,
     taylor_coeffs,
 )
-from dtm2d.closure import match_tables, match_terms, term_ks
 from dtm2d.solver import (
     BC_KINDS,
     MAX_WORKING_ORDER,
+    MIN_WORKING_ORDER,
     _check_corners,
     _closure_targets,
     _edge_trace,
@@ -55,8 +55,12 @@ from dtm2d.solver import (
     _infer_exact,
     _infer_float,
     _match_residual,
+    _match_tables,
+    _match_terms,
     _odd_transfer,
+    _term_ks,
     _trace_rounding,
+    _working_order,
 )
 from dtm2d.spectrum import Spectrum2D, truncate
 from dtm2d.taylor import TOKEN_KINDS, trace_value
@@ -371,12 +375,12 @@ class TestClosureMatch:
         # a walk at each order reads the tables' first terms, wherever the
         # tables end: exact factors and float weights, term by term
         for order in range(81):
-            rows, weights = match_tables(order)
+            rows, weights = _match_tables(order)
             for m in range(order + 1):
                 for layer_index in (0, 1):
                     for kind in BC_KINDS:
-                        ks = term_ks(m, layer_index, kind, order)
-                        terms = match_terms(rows[m], ks, layer_index, kind)
+                        ks = _term_ks(m, layer_index, kind, order)
+                        terms = _match_terms(rows[m], ks, layer_index, kind)
                         stepped = [
                             (m + 2 * k, Fraction(num, den), power)
                             for k, (num, den, power) in zip(ks, terms)
@@ -491,17 +495,17 @@ class TestMatchTableState:
         assert _fresh_result(before, last) == alone
 
     def test_larger_order_replaces_tables_whole(self):
-        rows, weights = match_tables(20)
+        rows, weights = _match_tables(20)
         rows_copy = [list(row) for row in rows]
         weights_copy = {key: [list(row) for row in rows_m] for key, rows_m in weights.items()}
         order = len(rows) + 10  # past anything solved so far
-        grown_rows, grown_weights = match_tables(order)
+        grown_rows, grown_weights = _match_tables(order)
         assert len(grown_rows) == order + 1
         # the old snapshot is left as it was: a walk holding it reads it to the end
         assert [list(row) for row in rows] == rows_copy
         assert {key: [list(row) for row in rows_m]
                 for key, rows_m in weights.items()} == weights_copy
-        again = match_tables(order - 5)
+        again = _match_tables(order - 5)
         assert again[0] is grown_rows and again[1] is grown_weights
 
 
@@ -776,8 +780,8 @@ class TestWorkingOrderCeiling:
         # fresh tables, so the check does not depend on what ran before; the
         # old tables come back after the test
         for order, finite in ((MAX_WORKING_ORDER, True), (MAX_WORKING_ORDER + 1, False)):
-            monkeypatch.setattr("dtm2d.closure._TABLES", (-1, [], {}))
-            _, weights = match_tables(order)
+            monkeypatch.setattr("dtm2d.solver._TABLES", (-1, [], {}))
+            _, weights = _match_tables(order)
             values = (w for rows in weights.values() for row in rows for w in row)
             assert all(map(math.isfinite, values)) == finite
 
@@ -793,6 +797,89 @@ class TestWorkingOrderCeiling:
         for order in (10, MAX_WORKING_ORDER):
             with pytest.raises(DtmError, match="argument scale 60 needs working order 553"):
                 solve_model(model.bc, order)
+
+
+def _stepped_working_orders(c):
+    """Reference: for each order up to MAX_WORKING_ORDER, the least
+    W >= max(order, MIN_WORKING_ORDER) whose tail (c*pi)**(W+1) / (W+1)! is at
+    most the catalog's, found by stepping W up by one.  A step from W reads
+    the answer from W + 1 (or from the first W past the ceiling that meets
+    the target), so each tail is evaluated once."""
+
+    def log_tail(scale, w):
+        return (w + 1) * math.log(scale * math.pi) - math.lgamma(w + 2)
+
+    def meets(w):
+        return c <= 2 or log_tail(c, w) <= log_tail(2, MIN_WORKING_ORDER)
+
+    past = MAX_WORKING_ORDER + 1
+    while not meets(past):
+        past += 1
+    answers = {}
+    for w in range(MAX_WORKING_ORDER, MIN_WORKING_ORDER - 1, -1):
+        answers[w] = w if meets(w) else answers.get(w + 1, past)
+    return [answers[max(order, MIN_WORKING_ORDER)] for order in range(MAX_WORKING_ORDER + 1)]
+
+
+def _dirichlet_bc(**traces):
+    """Dirichlet data on every edge: the traces given by edge ("y0", "ypi",
+    "x0", "xpi"), zero elsewhere."""
+    return BoundarySpec(tuple(
+        EdgeCondition(edge, "dirichlet", traces.get(edge.replace("=", ""), FuncSpec()))
+        for edge in ("y=0", "y=pi", "x=0", "x=pi")
+    ))
+
+
+class TestWorkingOrder:
+    def test_equals_stepping_reference(self):
+        scales = sorted({Fraction(p, q) for q in (1, 2) for p in range(1, 60 * q + 1)})
+        for c in scales:
+            bc = _dirichlet_bc(y0=FuncSpec(kind="sin", arg_scale=c))
+            for order, expected in enumerate(_stepped_working_orders(c)):
+                try:
+                    got = _working_order(bc, order)
+                except DtmError as exc:
+                    got = int(re.search(r"needs working order (\d+) ", str(exc)).group(1))
+                    assert got > MAX_WORKING_ORDER
+                assert got == expected
+
+    @pytest.mark.parametrize("bc, scale, working", [
+        (_dirichlet_bc(y0=FuncSpec(kind="sin", arg_scale=10**5)), 10**5, 854012),
+        (_dirichlet_bc(y0=FuncSpec(kind="sin", arg_scale=10**7)), 10**7, 85397378),
+        # a token lifts the working order on its own: cos(60 pi) here
+        (_dirichlet_bc(y0=FuncSpec(kind="sinh"), ypi=FuncSpec(
+            kind="sinh", sym_amp=FuncSpec(kind="cos", arg_scale=60))), 60, 553),
+    ], ids=["sin_1e5", "sin_1e7", "token_60"])
+    def test_scale_named_at_once(self, bc, scale, working):
+        with pytest.raises(DtmError, match=f"argument scale {scale} needs working order {working} "):
+            solve_model(bc, 10)
+
+    def test_zero_trace_scale_does_not_lift(self):
+        # u = sin x cosh y; its x=0 trace is zero, here written at scale 60
+        model = closed_form_model("s", "sin(x)*cosh(y)", "dirichlet", 36)
+        bc = BoundarySpec(tuple(
+            replace(cond, trace=FuncSpec(kind="zero", arg_scale=60)) if cond.edge == "x=0" else cond
+            for cond in model.bc.conditions
+        ))
+        report = solve_model(bc, 36, reference=model.reference)
+        assert report.working_order == MIN_WORKING_ORDER
+        assert report.spectrum == solve_model(model.bc, 36).spectrum
+        assert report.closed_form_error < 1e-8
+
+    def test_polynomial_scale_does_not_lift(self):
+        # u = x, its Dirichlet traces written as the polynomial p(60x) = 60x / 60
+        x = FuncSpec(kind="polynomial", poly_coeffs=(0, Fraction(1, 60)), arg_scale=60)
+        one = FuncSpec(kind="polynomial", poly_coeffs=(1,))
+        bc = BoundarySpec((
+            EdgeCondition("y=0", "dirichlet", x),
+            EdgeCondition("y=pi", "dirichlet", x),
+            EdgeCondition("x=0", "neumann", one),
+            EdgeCondition("x=pi", "neumann", one),
+        ))
+        report = solve_model(bc, 10)
+        assert report.working_order == MIN_WORKING_ORDER
+        assert dict(report.spectrum.entries) == {(1, 0): Fraction(1)}
+        assert max(report.boundary_residuals.values()) < 1e-12
 
 
 class TestSolveModel:
