@@ -244,9 +244,10 @@ def _solve(model: Model, order: int, grid: int = 21) -> ModelReport:
 def _checks_pass(report: ModelReport) -> bool:
     if not report.pde_residual_is_zero:
         return False
-    if any(r >= FLOAT_THRESHOLD for r in report.boundary_residuals.values()):
+    # not below: a NaN error fails too
+    if any(not r < FLOAT_THRESHOLD for r in report.boundary_residuals.values()):
         return False
-    if report.closed_form_error is not None and report.closed_form_error >= FLOAT_THRESHOLD:
+    if report.closed_form_error is not None and not report.closed_form_error < FLOAT_THRESHOLD:
         return False
     return True
 

@@ -47,7 +47,7 @@ from . import verify
 from .rules import dt_add, dt_derivative  # noqa: F401
 from .spectrum import truncate  # noqa: F401
 from .spectrum import CoeffLike, DtmError, Spectrum2D, as_coeff
-from .taylor import FuncSpec, taylor_coeffs, trace_value
+from .taylor import _SERIES, FuncSpec, _trace_rounding, taylor_coeffs, trace_value
 
 EDGES = ("x=0", "x=pi", "y=0", "y=pi")
 BC_KINDS = ("dirichlet", "neumann")
@@ -63,6 +63,14 @@ MIN_WORKING_ORDER = 44
 # Largest working order whose float closure weights (_match_tables) are all
 # finite; from 499 the largest, C(W, 2k) pi**2k and kin, overflow.
 MAX_WORKING_ORDER = 498
+
+# Largest search start of _working_order.  Up to it the float log tail finds
+# W exactly: its rounding, about W ln W 2**-52, stays below 1e-4 of its step
+# per unit of W (at least 1 from e*pi*c on), and the search agreed with a
+# 60-digit one on sampled scales up to 1e11 (W ~ 9e11).  From about 1e12 it
+# is only approximate, and from W ~ 2**53 w + 1 rounds to w and it never ends.
+_SEARCH_LIMIT = 10**10
+_E_PI_BELOW = Fraction("8.539734222673567")  # e*pi = 8.5397342226735670654...
 
 RESIDUAL_ERROR = 1e-6
 RESIDUAL_WARN = 1e-9
@@ -376,31 +384,28 @@ def _match_residual(
     8) times the sum of the terms' magnitudes (at most order + len(targets) + 2
     terms of at most five roundings each; Higham, ch. 3).  Degree m reaches
     only j = m + 2k, so a layer's walk stops at its last nonzero entry of m's
-    parity: the same terms are summed in the same order.  Each entry is tested
-    for zero once per call, not once per term."""
+    parity: the same terms are summed in the same order.  A zero entry before
+    that adds a signed zero, which changes neither sum."""
     _, weights = _match_tables(order)
     layers = []
     for index, layer in enumerate((list(layer0), list(layer1))):
-        live = [bool(c) for c in layer]
-        top = [max((j for j, c in enumerate(live) if c and j % 2 == p), default=-1)
+        top = [max((j for j, c in enumerate(layer) if c and j % 2 == p), default=-1)
                for p in (0, 1)]
-        layers.append((index, live, [float(c) for c in layer], top))
+        layers.append((index, [float(c) for c in layer], top))
     unit = (order + len(targets) + 8) * 2.0**-53
-    worst = bound = 0.0
+    errors, bounds = [], []
     for m in range(order + 1):
         lhs = size = 0.0
-        for index, live, floats, top in layers:
+        for index, floats, top in layers:
             last = min(order - index, top[m % 2])
             for j, weight in _weighted_terms(weights, m, index, closure_kind, last):
-                if live[j]:
-                    term = weight * floats[j]
-                    lhs += term
-                    size += abs(term)
+                term = weight * floats[j]
+                lhs += term
+                size += abs(term)
         parts = [float(q[m]) * value for q, _, value in targets]
-        rhs = sum(parts)
-        worst = max(worst, abs(lhs - rhs))
-        bound = max(bound, unit * (size + sum(map(abs, parts))))
-    return worst, bound
+        errors.append(abs(lhs - sum(parts)))
+        bounds.append(unit * (size + sum(map(abs, parts))))
+    return verify._worst(errors), verify._worst(bounds)
 
 
 def _infer_exact(known_index, closure_kind, targets, order):
@@ -497,10 +502,9 @@ def _infer_float(known, known_index, closure_kind, targets, order):
                                          order - unknown_index):
             if lead is None:
                 lead = (j, weight)
-            else:
-                solved = raw[j]
-                rhs -= weight * (solved if solved is not None else 0.0)
-        if lead is not None and raw[lead[0]] is None:
+            else:  # row j - 2 k0, above this one, fixed raw[j]
+                rhs -= weight * raw[j]
+        if lead is not None:  # only this row fixes raw[lead[0]]
             raw[lead[0]] = rhs / lead[1]
     undetermined = tuple(j for j in range(order + 1) if raw[j] is None)
     raw_floats = tuple(0.0 if v is None else v for v in raw)
@@ -547,6 +551,12 @@ def infer_missing_seed(
     )
     pair = (coeffs, known) if known_layer_index == 1 else (known, coeffs)
     residual, rounding = _match_residual(pair[0], pair[1], kind, targets, order)
+    if not math.isfinite(residual):
+        raise InferenceError(
+            f"closure condition on {closure_edge.edge} cannot be checked: per-degree "
+            f"residual {residual} is not a finite float (method={method}, order={order}); "
+            f"scale the data down"
+        )
     # A residual within its own rounding bound shows no inconsistency.
     if residual > RESIDUAL_ERROR and residual > rounding:
         raise InferenceError(
@@ -618,48 +628,25 @@ _CORNERS = (
 )
 
 
-# Each transcendental kind's derivative: d/dt f(t) = sign * f'(t) as (f', sign).
-_DERIVATIVE_KIND = {"sin": ("cos", 1), "cos": ("sin", -1), "sinh": ("cosh", 1),
-                    "cosh": ("sinh", 1), "exp": ("exp", 1)}
-
-
-def _base_error(term: FuncSpec, t: float) -> tuple[float, float]:
-    """|g(u)| for a term's base g at u = scale * t, and a first-order bound,
-    in units of 2**-52, on the float error of g(u) against g at exact t: one
-    rounding of the result plus three of the argument (scale, t and their
-    product) times |u g'(u)|, or for polynomials Horner's 2n roundings plus
-    the argument's (Higham, ch. 5)."""
-    u = float(term.arg_scale) * t
-    if term.kind == "polynomial":
-        n = len(term.poly_coeffs)
-        value = size = 0.0
-        for i, c in reversed(list(enumerate(term.poly_coeffs))):
-            value = value * u + float(c)
-            size += (2 * n + 3 * i) * abs(float(c)) * abs(u) ** i
-        return abs(value), size
-    value = abs(getattr(math, term.kind)(u))
-    return value, value + 3 * abs(u * getattr(math, _DERIVATIVE_KIND[term.kind][0])(u))
-
-
-def _trace_rounding(f: FuncSpec, t: float) -> float:
-    """First-order bound on the float error of ``trace_value(f, t)`` against
-    the trace at exact t, tokens at exact pi.  Per term amplitude * T * B
-    the error is at most |amplitude| (dT |B| + |T| dB) plus three roundings
-    of the product, and the sum of n terms adds n - 1 more (Higham, ch. 3),
-    so (n + 3) * 2**-52 * sum |amplitude| (dT |B| + |T| dB) bounds it.
-
-    The bound matters where a term vanishes at the corner but its factors do
-    not: sin(6y) cosh(6 pi) at y = pi is about 6e-8 in floats, not 0.
-    """
-    terms = [x for x in f.flat_terms() if x.kind != "zero" and x.amplitude != 0]
-    size = 0.0
-    for term in terms:
-        base, base_err = _base_error(term, t)
-        token, token_err = (
-            (1.0, 0.0) if term.sym_amp is None else _base_error(term.sym_amp, math.pi)
-        )
-        size += abs(float(term.amplitude)) * (token_err * base + token * base_err)
-    return (len(terms) + 3) * 2.0**-52 * size
+def _check_float_range(bc: BoundarySpec, reference: Optional[verify.ReferenceSolution]) -> None:
+    """Raise DtmError naming the first edge, or the reference, with a constant
+    that has no finite float: an amplitude, argument scale or polynomial
+    coefficient of a term or of its token.  Float verification reads each of
+    them; the exact layer alone would not (:func:`taylor_coeffs` takes them)."""
+    named = [(f"{cond.edge} trace", cond.trace.flat_terms()) for cond in bc.conditions]
+    if reference is not None:
+        named.append(("reference", [h for a, f, g in reference.terms
+                                    for h in (replace(f, amplitude=a), g)]))
+    for name, terms in named:
+        for term in (h for t in terms for h in (t, t.sym_amp) if h is not None):
+            try:
+                for c in (term.amplitude, term.arg_scale, *(term.poly_coeffs or ())):
+                    float(c)
+            except OverflowError as exc:
+                raise DtmError(
+                    f"{name} has a constant beyond the float range (about 1.8e308), "
+                    f"which float verification cannot read"
+                ) from exc
 
 
 def _check_corners(bc: BoundarySpec) -> None:
@@ -692,11 +679,13 @@ def _working_order(bc: BoundarySpec, order: int) -> int:
     every token and every term with an infinite series (a sin, cos, sinh,
     cosh or exp of nonzero amplitude); a zero or polynomial term has no tail.
     No w with w + 1 <= e*pi*c meets the target (there the tail is at least
-    1 / (e sqrt(w + 1)) by Stirling), so the search starts just below e*pi*c.
+    1 / (e sqrt(w + 1)) by Stirling), so the search starts just below e*pi*c,
+    at a start computed exactly from c, which may lie past the float range.
 
-    Raises DtmError naming c when it alone lifts W above MAX_WORKING_ORDER,
-    so that no order can be solved; an order above the ceiling is left to
-    :func:`infer_missing_seed` to refuse."""
+    Raises DtmError naming c when it alone lifts W above MAX_WORKING_ORDER
+    and the order, so that no order can be solved: with W itself, or with the
+    start as a lower bound when that is past _SEARCH_LIMIT.  An order above
+    the ceiling is left to :func:`infer_missing_seed` to refuse."""
 
     def log_tail(scale, w):
         return (w + 1) * math.log(scale * math.pi) - math.lgamma(w + 2)
@@ -704,18 +693,25 @@ def _working_order(bc: BoundarySpec, order: int) -> int:
     scales = [0]
     for cond in bc.conditions:
         for term in cond.trace.flat_terms():
-            if term.kind in _DERIVATIVE_KIND and term.amplitude:  # the series kinds
+            if term.kind in _SERIES and term.amplitude:
                 scales.append(abs(term.arg_scale))
             if term.sym_amp is not None:
                 scales.append(abs(term.sym_amp.arg_scale))
     c = max(scales)
     working = max(order, MIN_WORKING_ORDER)
     if c > 2:
-        working = max(working, math.ceil(math.e * math.pi * c) - 2)
+        start = math.ceil(_E_PI_BELOW * c) - 2
+        if start > _SEARCH_LIMIT:
+            raise DtmError(
+                f"argument scale {c} needs working order above {start}, far above "
+                f"{MAX_WORKING_ORDER}, where the closure weights are finite floats; "
+                f"no order can be solved at this scale"
+            )
+        working = max(working, start)
         scale, target = float(c), log_tail(2, MIN_WORKING_ORDER)
         while log_tail(scale, working) > target:
             working += 1
-    if working > MAX_WORKING_ORDER >= order:
+    if working > max(order, MAX_WORKING_ORDER):
         raise DtmError(
             f"argument scale {c} needs working order {working} to resolve the closure "
             f"series, above {MAX_WORKING_ORDER}, where the closure weights are finite "
@@ -738,8 +734,10 @@ def solve_model(
 
     The seed edge (y=0 or x=0, by marching axis) must have an exact trace;
     the opposite edge closes the problem through :func:`infer_missing_seed`.
-    Adjacent Dirichlet traces must agree at their shared corner, or
-    :func:`_check_corners` raises before inference.
+    Every constant of the data must have a finite float, or
+    :func:`_check_float_range` raises first; adjacent Dirichlet traces must
+    agree at their shared corner, or :func:`_check_corners` raises before
+    inference.
     ``origin_value`` pins u at the expansion origin when the closure leaves
     that entry undetermined (the additive constant of all-Neumann data).
     The first-order entry it leaves undetermined, U(1, 0) or U(0, 1), is the
@@ -752,6 +750,7 @@ def solve_model(
     """
     if order < 0:
         raise DtmError(f"order must be non-negative, got {order}")
+    _check_float_range(bc, reference)
     axis = _choose_axis(bc)
     seed_edge = "y=0" if axis == MARCH_IN_N else "x=0"
     closure_edge = "y=pi" if axis == MARCH_IN_N else "x=pi"
@@ -827,7 +826,7 @@ def _edge_trace(reference: verify.ReferenceSolution, edge: str, kind: str) -> Fu
     for a, f, g in reference.terms:
         along, across = (g, f) if axis == "x" else (f, g)
         if kind == "neumann":
-            derivative, sign = _DERIVATIVE_KIND[across.kind]
+            derivative, sign = _SERIES[across.kind][3:]
             a *= sign * across.arg_scale
             across = replace(across, kind=derivative)
         if level == "pi":

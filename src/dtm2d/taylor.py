@@ -1,4 +1,5 @@
-"""Boundary-trace descriptors and exact 1D Taylor coefficient generation.
+"""Boundary-trace descriptors, exact 1D Taylor coefficient generation, and
+float trace values with a bound on their rounding.
 
 A trace is a closed-form function of one variable built from a small library
 (sin, cos, sinh, cosh, exp, polynomials, zero), an exact rational argument
@@ -116,10 +117,12 @@ class FuncSpec:
         return tuple(out)
 
 
-# Transcendental kinds: (first k, step in k, sign factor per step) of their
-# nonzero coefficients +-1 / k!.
-_SERIES = {"sin": (1, 2, -1), "cos": (0, 2, -1), "sinh": (1, 2, 1), "cosh": (0, 2, 1),
-           "exp": (0, 1, 1)}
+# The series kinds, each named after its math function: (first k, step in k,
+# sign factor per step) of its nonzero coefficients +-1 / k!, then its
+# derivative d/dt f(t) = sign * f'(t) as (f', sign).
+_SERIES = {"sin": (1, 2, -1, "cos", 1), "cos": (0, 2, -1, "sin", -1),
+           "sinh": (1, 2, 1, "cosh", 1), "cosh": (0, 2, 1, "sinh", 1),
+           "exp": (0, 1, 1, "exp", 1)}
 
 
 def taylor_coeffs(f: FuncSpec, order: int) -> list[Fraction]:
@@ -150,7 +153,7 @@ def taylor_coeffs(f: FuncSpec, order: int) -> list[Fraction]:
                     out[k] += term.amplitude * scale_pow * c
                 scale_pow *= term.arg_scale
             continue
-        start, step, flip = _SERIES[term.kind]
+        start, step, flip = _SERIES[term.kind][:3]
         p, q = term.arg_scale.numerator, term.arg_scale.denominator
         num = term.amplitude.numerator * p**start  # start! == 1
         den = term.amplitude.denominator * q**start
@@ -179,6 +182,45 @@ def trace_value(f: FuncSpec, t: float) -> float:
             value = base(u)
         total += weight * value
     return total
+
+
+def _base_error(term: FuncSpec, t: float) -> tuple[float, float]:
+    """|g(u)| for a term's base g at u = scale * t, and a first-order bound,
+    in units of 2**-52, on the float error of g(u) against g at exact t: one
+    rounding of the result plus three of the argument (scale, t and their
+    product) times |u g'(u)|, or for polynomials Horner's 2n roundings plus
+    the argument's (Higham, ch. 5)."""
+    u = float(term.arg_scale) * t
+    if term.kind == "polynomial":
+        n = len(term.poly_coeffs)
+        value = size = 0.0
+        for i, c in reversed(list(enumerate(term.poly_coeffs))):
+            value = value * u + float(c)
+            size += (2 * n + 3 * i) * abs(float(c)) * abs(u) ** i
+        return abs(value), size
+    value = abs(getattr(math, term.kind)(u))
+    return value, value + 3 * abs(u * getattr(math, _SERIES[term.kind][3])(u))
+
+
+def _trace_rounding(f: FuncSpec, t: float) -> float:
+    """First-order bound on the float error of ``trace_value(f, t)`` against
+    the trace at exact t, tokens at exact pi.  Per term amplitude * T * B
+    the error is at most |amplitude| (dT |B| + |T| dB) plus three roundings
+    of the product, and the sum of n terms adds n - 1 more (Higham, ch. 3),
+    so (n + 3) * 2**-52 * sum |amplitude| (dT |B| + |T| dB) bounds it.
+
+    The bound matters where a term vanishes at the corner but its factors do
+    not: sin(6y) cosh(6 pi) at y = pi is about 6e-8 in floats, not 0.
+    """
+    terms = [x for x in f.flat_terms() if x.kind != "zero" and x.amplitude != 0]
+    size = 0.0
+    for term in terms:
+        base, base_err = _base_error(term, t)
+        token, token_err = (
+            (1.0, 0.0) if term.sym_amp is None else _base_error(term.sym_amp, math.pi)
+        )
+        size += abs(float(term.amplitude)) * (token_err * base + token * base_err)
+    return (len(terms) + 3) * 2.0**-52 * size
 
 
 def outer_product(

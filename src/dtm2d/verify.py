@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 # Unused here; kept importable because perfbench/tracer.py wraps this name.
 from .rules import dt_derivative  # noqa: F401
@@ -129,6 +129,17 @@ def eval2d(s: Spectrum2D, x: float, y: float) -> float:
     return eval_grid(s, (x,), (y,))[0][0]
 
 
+def _worst(errors: Iterable[float]) -> float:
+    """The largest of 0.0 and the errors, as ``max`` folds them, except that
+    a NaN anywhere gives NaN: ``max`` keeps a NaN only when it comes first,
+    so a residual whose samples overflowed would read as small."""
+    worst = 0.0
+    for error in errors:
+        if error > worst or error != error:
+            worst = error
+    return worst
+
+
 def boundary_residual(
     s: Spectrum2D, bc: "BoundarySpec", samples: int
 ) -> dict[str, float]:
@@ -159,10 +170,9 @@ def boundary_residual(
             if (derivative, y) not in sums:
                 sums[derivative, y] = _row_sums(projected[derivative], y - oy)
         values = [_horner(sums[derivative, y], x - ox) for x, y in points]
-        worst = 0.0
-        for t, value in zip(ts, values):
-            worst = max(worst, abs(value - trace_value(cond.trace, t)))
-        out[cond.edge] = worst
+        out[cond.edge] = _worst(
+            abs(value - trace_value(cond.trace, t)) for t, value in zip(ts, values)
+        )
     return out
 
 
@@ -180,11 +190,9 @@ def compare_closed_form(s: Spectrum2D, ref: ReferenceSolution, grid: int) -> flo
         for x, row in zip(points, exact):
             fx = float(a) * trace_value(f, x)
             row[:] = [u + fx * gy for u, gy in zip(row, ys)]
-    worst = 0.0
-    for row, exact_row in zip(values, exact):
-        for value, u in zip(row, exact_row):
-            worst = max(worst, abs(value - u))
-    return worst
+    return _worst(
+        abs(value - u) for row, exact_row in zip(values, exact) for value, u in zip(row, exact_row)
+    )
 
 
 def spectrum_diff(

@@ -2,12 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from dtm2d.cli import ConfigError, RunConfig, build_parser, main, parse_config
-from dtm2d.solver import MAX_WORKING_ORDER, model_catalog
+from dtm2d.cli import ConfigError, RunConfig, _row, build_parser, main, parse_config
+from dtm2d.solver import MAX_WORKING_ORDER, model_catalog, solve_example
 
 from conftest import LEGACY_TOKEN_NAMES, enumerate_spectrum, formula_example3
 
@@ -139,6 +140,37 @@ class TestSolve:
         )
         assert status == 1
         assert "cannot write" in err
+
+
+def _y0_config(tmp_path, trace):
+    """A custom config file: the y=0 trace given, Dirichlet, other edges zero."""
+    zero = {"kind": "dirichlet", "trace": {"kind": "zero"}}
+    bc = {"y=0": {"kind": "dirichlet", "trace": trace}, "y=pi": zero, "x=0": zero, "x=pi": zero}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": "custom", "order": 10, "bc": bc}))
+    return str(path)
+
+
+class TestFailures:
+    def test_inconsistent_closure_exits_2(self, capsys, tmp_path):
+        path = _y0_config(tmp_path, {"kind": "sin"})
+        status, out, err = run_cli(capsys, ["solve", "--config", path])
+        assert (status, out) == (2, "")
+        assert err.startswith("error: closure condition on y=pi inconsistent")
+
+    @pytest.mark.parametrize("key", ["amplitude", "arg_scale"])
+    def test_constant_beyond_floats_exits_1(self, capsys, tmp_path, key):
+        path = _y0_config(tmp_path, {"kind": "sin", key: "1e400"})
+        status, out, err = run_cli(capsys, ["solve", "--config", path])
+        assert (status, out) == (1, "")
+        assert err.startswith("error: y=0 trace has a constant beyond the float range")
+
+    def test_nan_error_fails_checks(self):
+        report = solve_example(1)
+        assert _row(report)["passed"]
+        nan_edge = dict(report.boundary_residuals, **{"y=pi": math.nan})
+        assert not _row(replace(report, boundary_residuals=nan_edge))["passed"]
+        assert not _row(replace(report, closed_form_error=math.nan))["passed"]
 
 
 class TestSpectrumCommand:

@@ -24,6 +24,7 @@ from dtm2d import (
     DtmError,
     EdgeCondition,
     FuncSpec,
+    InferenceError,
     MARCH_IN_M,
     MARCH_IN_N,
     ReferenceSolution,
@@ -58,12 +59,14 @@ from dtm2d.solver import (
     _match_tables,
     _match_terms,
     _odd_transfer,
+    _SEARCH_LIMIT,
     _term_ks,
     _trace_rounding,
     _working_order,
 )
 from dtm2d.spectrum import Spectrum2D, truncate
 from dtm2d.taylor import TOKEN_KINDS, trace_value
+from dtm2d.verify import boundary_residual
 
 from conftest import (
     MODEL_FORMULAS,
@@ -473,11 +476,33 @@ print(repr(fields))
 """
 
 
-def _fresh_result(*steps):
+def _run_limited(script, *args, seconds=60):
+    """Stdout of script run with args in a fresh interpreter; a run longer
+    than seconds fails the test."""
     env = dict(os.environ, PYTHONPATH=str(Path(dtm2d.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, "-c", _TABLE_STATE_SCRIPT, *steps],
-                         env=env, capture_output=True, text=True, check=True)
+    run = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, check=True, timeout=seconds)
     return run.stdout
+
+
+def _fresh_result(*steps):
+    return _run_limited(_TABLE_STATE_SCRIPT, *steps)
+
+
+# Prints the refusal of sin(c x) data on y=0 for each (c, order): two scales
+# past the working-order search limit at order 10, and scale 1e5 at order 600.
+_HUGE_SCALE_SCRIPT = """
+from dtm2d import BoundarySpec, DtmError, EdgeCondition, FuncSpec, solve_model
+
+for c, order in ((10**300, 10), (10**12, 10), (10**5, 600)):
+    bc = BoundarySpec(tuple(
+        EdgeCondition(edge, "dirichlet", FuncSpec(kind="sin", arg_scale=c) if edge == "y=0"
+                      else FuncSpec()) for edge in ("y=0", "y=pi", "x=0", "x=pi")))
+    try:
+        solve_model(bc, order)
+    except DtmError as exc:
+        print(exc)
+"""
 
 
 class TestMatchTableState:
@@ -729,6 +754,13 @@ class TestInferMissingSeed:
         with pytest.raises(DtmError, match="working order -1 is outside"):
             infer_missing_seed([], 0, closure)
 
+    def test_non_finite_residual_raises(self):
+        # every closure sum overflows: a NaN or inf residual shows nothing, so
+        # it may not pass as an exact layer with a warning
+        closure = EdgeCondition("y=pi", "dirichlet", FuncSpec(kind="zero"))
+        with pytest.raises(InferenceError, match="closure condition on y=pi cannot be checked"):
+            infer_missing_seed([Fraction(10**300)] * 61, 0, closure)
+
     def test_polynomial_neumann_closure_uses_float_route(self):
         # u(x,0) = 0, u_y(x,pi) = x^2/3 has the harmonic solution
         # y*pi^2/3 + x^2 y/3 - y^3/9; the pi^2/3 entry cannot satisfy the
@@ -799,6 +831,59 @@ class TestWorkingOrderCeiling:
                 solve_model(model.bc, order)
 
 
+class TestFloatRange:
+    """Data whose floats overflow fail with a reason: constants with no
+    finite float are refused before any solve work, and a NaN or inf error
+    is reported as such, never as a small one."""
+
+    @pytest.mark.parametrize("kind, trace", [
+        ("dirichlet", FuncSpec(kind="sin", amplitude=Fraction(10**400))),
+        ("neumann", FuncSpec(kind="sin", amplitude=Fraction(10**400))),
+        ("dirichlet", FuncSpec(kind="sin", arg_scale=Fraction(10**400))),
+        ("dirichlet", FuncSpec(kind="polynomial", poly_coeffs=(0, 10**400))),
+        ("dirichlet", FuncSpec(kind="cos", sym_amp=FuncSpec(kind="sinh", arg_scale=10**400))),
+    ], ids=["amplitude", "amplitude_neumann", "arg_scale", "poly_coeff", "token_scale"])
+    def test_edge_constant_refused(self, kind, trace):
+        bc = BoundarySpec(tuple(
+            EdgeCondition(edge, kind if edge == "y=0" else "dirichlet",
+                          trace if edge == "y=0" else FuncSpec())
+            for edge in ("y=0", "y=pi", "x=0", "x=pi")
+        ))
+        with pytest.raises(DtmError, match="y=0 trace has a constant beyond the float range"):
+            solve_model(bc, 10)
+
+    def test_reference_constant_refused_before_solving(self, monkeypatch):
+        model = closed_form_model("s", "sin(x)*sinh(y)", "dirichlet", 10)
+        reference = ReferenceSolution(f"{10**400}*sin(x)*sinh(y)")
+
+        def no_inference(*args):
+            raise AssertionError("inference entered")
+
+        monkeypatch.setattr("dtm2d.solver.infer_missing_seed", no_inference)
+        with pytest.raises(DtmError, match="reference has a constant beyond the float range"):
+            solve_model(model.bc, 10, reference=reference)
+
+    def test_exact_coefficients_of_such_a_trace_allowed(self):
+        big = 10**400
+        coeffs = taylor_coeffs(FuncSpec(kind="sin", amplitude=big), 3)
+        assert coeffs == [0, big, 0, Fraction(-big, 6)]
+
+    def test_overflowing_errors_are_nan(self):
+        # 10**300 cos 8x cosh 8y: its series and traces overflow to inf at
+        # y = pi, so those sample errors are NaN, which max() dropped (0.0)
+        model = closed_form_model("t", f"{10**300}*cos(8x)*cosh(8y)", "neumann", 20)
+        spectrum = outer_product(
+            taylor_coeffs(FuncSpec(kind="cos", arg_scale=8, amplitude=10**300), 20),
+            taylor_coeffs(FuncSpec(kind="cosh", arg_scale=8), 20),
+            20,
+        )
+        assert math.isnan(boundary_residual(spectrum, model.bc, 41)["y=pi"])
+        assert math.isnan(compare_closed_form(spectrum, model.reference, 21))
+        # the closure residual overflows first
+        with pytest.raises(InferenceError, match="closure condition on y=pi cannot be checked"):
+            solve_model(model.bc, 20, origin_value=model.origin_value, reference=model.reference)
+
+
 def _stepped_working_orders(c):
     """Reference: for each order up to MAX_WORKING_ORDER, the least
     W >= max(order, MIN_WORKING_ORDER) whose tail (c*pi)**(W+1) / (W+1)! is at
@@ -853,6 +938,18 @@ class TestWorkingOrder:
     def test_scale_named_at_once(self, bc, scale, working):
         with pytest.raises(DtmError, match=f"argument scale {scale} needs working order {working} "):
             solve_model(bc, 10)
+
+    def test_scale_past_search_limit_refused_at_once(self):
+        # from W ~ 2**53 the float search never ended (w + 1 rounds to w), so
+        # past the limit W is only bounded: W > e*pi*c - 1, e*pi < 8.5397342226735671.
+        # Order 600 with scale 1e5 once seeded all 854012 coefficients first.
+        lines = _run_limited(_HUGE_SCALE_SCRIPT, seconds=20).splitlines()
+        assert len(lines) == 3
+        for line, c in zip(lines, (10**300, 10**12)):
+            bound = int(re.fullmatch(rf"argument scale {c} needs working order above (\d+), "
+                                     rf"far above {MAX_WORKING_ORDER}, .*", line).group(1))
+            assert _SEARCH_LIMIT < bound < Fraction("8.5397342226735671") * c - 1
+        assert lines[2].startswith("argument scale 100000 needs working order 854012 ")
 
     def test_zero_trace_scale_does_not_lift(self):
         # u = sin x cosh y; its x=0 trace is zero, here written at scale 60
@@ -950,6 +1047,23 @@ class TestSolveModel:
         ))
         with pytest.raises(DtmError, match="seed edge"):
             solve_model(bc, 10)
+
+    def test_inconsistent_closure_raises(self):
+        # u(x,0) = sin x, the other edges zero: the exact route reads it as
+        # consistent and the float closure residual then fails (ROADMAP item 2)
+        with pytest.raises(InferenceError, match=re.escape("closure condition on y=pi inconsistent")):
+            solve_model(_dirichlet_bc(y0=FuncSpec(kind="sin")), 10)
+
+    def test_u10_without_neumann_trace_set_to_zero(self):
+        # example4's data with x=0 made Dirichlet: the closure cannot see
+        # U(1,0) = u_x(0,0), and no Neumann trace gives it, so it is set to 0,
+        # which is right for u = cos x sinh y
+        model = model_catalog()["example4"]
+        x0 = EdgeCondition("x=0", "dirichlet", _edge_trace(model.reference, "x=0", "dirichlet"))
+        bc = BoundarySpec(tuple(x0 if c.edge == "x=0" else c for c in model.bc.conditions))
+        report = solve_model(bc, 36, origin_value=model.origin_value)
+        assert report.warning.endswith("U(1,0) set to 0: x=0 has no exact Neumann trace")
+        assert report.spectrum == enumerate_spectrum(formula_example4, 36)
 
     @pytest.mark.parametrize("edge,poly,corner", [
         ("y=pi", (1,), "(0,pi)"),  # u(x,pi) = 1 with zero data on the other edges
