@@ -120,10 +120,12 @@ def _custom_model(file_cfg: dict) -> Model:
     reference = file_cfg.get("reference")
     if reference is not None:
         reference = ReferenceSolution(reference)
-    try:
-        origin_value = Fraction(str(file_cfg.get("origin_value", 0)))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad origin_value: {exc}") from exc
+    origin_value = None  # not given: solve_model warns if it leaves u(0, 0) at 0
+    if "origin_value" in file_cfg:
+        try:
+            origin_value = Fraction(str(file_cfg["origin_value"]))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad origin_value: {exc}") from exc
     return Model("custom", _parse_bc(file_cfg["bc"]), reference, 36, origin_value)
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -318,38 +318,30 @@ def _match_tables(order: int) -> tuple[list[list[int]], dict]:
     e pi**2k, one fewer at most, so the two share their arrays.
 
     Each row is stepped along k by the march recurrence as an exact integer,
-    e(m, k+1) = -e(m, k) (j+1)(j+2) / ((2k+1)(2k+2)) with j = m + 2k; a row
-    the tables already hold is continued from its last entry.  A larger order
-    builds new rows and arrays and replaces the snapshot whole, so a walk
-    never sees a half-built row; a walk at order W reads only the first terms
-    of each row, so no result depends on how far the tables reach.
+    e(m, k+1) = -e(m, k) (j+1)(j+2) / ((2k+1)(2k+2)) with j = m + 2k.  A
+    larger order builds every row and array anew and replaces the tables
+    whole; a walk at order W reads only the first terms of each row, so no
+    result depends on how far the tables reach.
     """
     global _TABLES
     covered, rows, weights = _TABLES
     if order <= covered:
         return rows, weights
     pi_powers = [math.pi**p for p in range(order + 1)]
-    new_rows: list[list[int]] = []
-    new_weights: dict = {key: [] for key in _OWN_WEIGHTS}
+    rows, weights = [], {key: [] for key in _OWN_WEIGHTS}
     for m in range(order + 1):
-        row = rows[m] if m < len(rows) else [1]
-        tail, e = [], row[-1]
-        for k in range(len(row) - 1, (order - m) // 2):
+        row = [1]
+        for k in range((order - m) // 2):
             j = m + 2 * k
-            e = -e * (j + 1) * (j + 2) // ((2 * k + 1) * (2 * k + 2))
-            tail.append(e)
-        row = row + tail if tail else row
-        new_rows.append(row)
+            row.append(-row[-1] * (j + 1) * (j + 2) // ((2 * k + 1) * (2 * k + 2)))
+        rows.append(row)
         for layer_index, kind in _OWN_WEIGHTS:
-            new = weights[layer_index, kind][m] if m < len(rows) else array("d")
-            ks = _term_ks(m, layer_index, kind, order)[len(new):]
-            if ks:
-                new = new + array("d", [num / den * pi_powers[power] for num, den, power
-                                        in _match_terms(row, ks, layer_index, kind)])
-            new_weights[layer_index, kind].append(new)
-    new_weights[1, "neumann"] = new_weights[0, "dirichlet"]
-    _TABLES = (order, new_rows, new_weights)
-    return new_rows, new_weights
+            terms = _match_terms(row, _term_ks(m, layer_index, kind, order), layer_index, kind)
+            weights[layer_index, kind].append(
+                array("d", [num / den * pi_powers[power] for num, den, power in terms]))
+    weights[1, "neumann"] = weights[0, "dirichlet"]
+    _TABLES = (order, rows, weights)
+    return rows, weights
 
 
 def _weighted_terms(weights: dict, m: int, layer_index: int, closure_kind: str, last: int):
@@ -372,6 +364,21 @@ def _closure_targets(trace: FuncSpec, order: int):
     return parts
 
 
+def _floats(values: list[Fraction]) -> list[float]:
+    """float() of each value, or +-inf for one past the float range, which
+    float() refuses; only a list with such a value is converted twice."""
+    try:
+        return [float(c) for c in values]
+    except OverflowError:
+        out = []
+        for c in values:
+            try:
+                out.append(float(c))
+            except OverflowError:
+                out.append(math.inf if c > 0 else -math.inf)
+        return out
+
+
 def _match_residual(
     layer0: Iterable[Fraction],
     layer1: Iterable[Fraction],
@@ -391,7 +398,8 @@ def _match_residual(
     for index, layer in enumerate((list(layer0), list(layer1))):
         top = [max((j for j, c in enumerate(layer) if c and j % 2 == p), default=-1)
                for p in (0, 1)]
-        layers.append((index, [float(c) for c in layer], top))
+        layers.append((index, _floats(layer), top))
+    targets = [(_floats(q), value) for q, _, value in targets]
     unit = (order + len(targets) + 8) * 2.0**-53
     errors, bounds = [], []
     for m in range(order + 1):
@@ -402,7 +410,7 @@ def _match_residual(
                 term = weight * floats[j]
                 lhs += term
                 size += abs(term)
-        parts = [float(q[m]) * value for q, _, value in targets]
+        parts = [q[m] * value for q, value in targets]
         errors.append(abs(lhs - sum(parts)))
         bounds.append(unit * (size + sum(map(abs, parts))))
     return verify._worst(errors), verify._worst(bounds)
@@ -482,14 +490,13 @@ def _infer_float(known, known_index, closure_kind, targets, order):
 
     Returns (coeffs, undetermined, raw_floats): raw_floats holds the floats,
     coeffs the same values as exact binary rationals, with those within
-    FLOAT_ZERO_TOL of zero made exact zeros.
+    FLOAT_ZERO_TOL of zero made exact zeros; or None when a float is not
+    finite, which no rational holds.
     """
     unknown_index = 1 - known_index
-    known_f = [float(c) for c in known]
-    target_f = [
-        sum(float(q[m]) * value for q, _, value in targets)
-        for m in range(order + 1)
-    ]
+    known_f = _floats(known)
+    targets = [(_floats(q), value) for q, _, value in targets]
+    target_f = [sum(q[m] * value for q, value in targets) for m in range(order + 1)]
     _, weights = _match_tables(order)
     raw: list[Optional[float]] = [None] * (order + 1)
     for m in range(order, -1, -1):
@@ -508,10 +515,21 @@ def _infer_float(known, known_index, closure_kind, targets, order):
             raw[lead[0]] = rhs / lead[1]
     undetermined = tuple(j for j in range(order + 1) if raw[j] is None)
     raw_floats = tuple(0.0 if v is None else v for v in raw)
+    if not all(map(math.isfinite, raw_floats)):
+        return None
     coeffs = tuple(
         Fraction(0) if abs(v) <= FLOAT_ZERO_TOL else Fraction(v) for v in raw_floats
     )
     return coeffs, undetermined, raw_floats
+
+
+def _check_working_order(order: int) -> None:
+    """Raise DtmError unless 0 <= order <= MAX_WORKING_ORDER."""
+    if not 0 <= order <= MAX_WORKING_ORDER:
+        raise DtmError(
+            f"working order {order} is outside 0 to {MAX_WORKING_ORDER}, where the closure "
+            f"weights are finite floats; lower the order or the argument scales"
+        )
 
 
 def infer_missing_seed(
@@ -536,21 +554,20 @@ def infer_missing_seed(
         raise DtmError(f"closure edge must be y=pi or x=pi, got {closure_edge.edge}")
     known = [as_coeff(c) for c in known_layer]
     order = len(known) - 1
-    if not 0 <= order <= MAX_WORKING_ORDER:
-        raise DtmError(
-            f"working order {order} is outside 0 to {MAX_WORKING_ORDER}, where the closure "
-            f"weights are finite floats; lower the order or the argument scales"
-        )
+    _check_working_order(order)
 
     targets = _closure_targets(closure_edge.trace, order)
     kind = closure_edge.kind
     exact = _infer_exact(known_layer_index, kind, targets, order)
     method = "float" if exact is None else "exact"
-    coeffs, undetermined, raw_floats = (*exact, None) if exact is not None else _infer_float(
+    solved = (*exact, None) if exact is not None else _infer_float(
         known, known_layer_index, kind, targets, order
     )
-    pair = (coeffs, known) if known_layer_index == 1 else (known, coeffs)
-    residual, rounding = _match_residual(pair[0], pair[1], kind, targets, order)
+    residual = rounding = math.nan  # unless the layer found is finite
+    if solved is not None:
+        coeffs, undetermined, raw_floats = solved
+        pair = (coeffs, known) if known_layer_index == 1 else (known, coeffs)
+        residual, rounding = _match_residual(pair[0], pair[1], kind, targets, order)
     if not math.isfinite(residual):
         raise InferenceError(
             f"closure condition on {closure_edge.edge} cannot be checked: per-degree "
@@ -603,7 +620,7 @@ class Model:
     bc: BoundarySpec
     reference: Optional[verify.ReferenceSolution]
     default_order: int
-    origin_value: Fraction = field(default_factory=lambda: Fraction(0))
+    origin_value: Optional[Fraction] = None  # None: not given
 
 
 def _choose_axis(bc: BoundarySpec) -> str:
@@ -685,7 +702,7 @@ def _working_order(bc: BoundarySpec, order: int) -> int:
     Raises DtmError naming c when it alone lifts W above MAX_WORKING_ORDER
     and the order, so that no order can be solved: with W itself, or with the
     start as a lower bound when that is past _SEARCH_LIMIT.  An order above
-    the ceiling is left to :func:`infer_missing_seed` to refuse."""
+    the ceiling gets :func:`infer_missing_seed`'s refusal, before any seed work."""
 
     def log_tail(scale, w):
         return (w + 1) * math.log(scale * math.pi) - math.lgamma(w + 2)
@@ -717,6 +734,7 @@ def _working_order(bc: BoundarySpec, order: int) -> int:
             f"series, above {MAX_WORKING_ORDER}, where the closure weights are finite "
             f"floats; no order can be solved at this scale"
         )
+    _check_working_order(working)
     return working
 
 
@@ -725,7 +743,7 @@ def solve_model(
     order: int,
     *,
     model_id: str = "custom",
-    origin_value: CoeffLike = 0,
+    origin_value: Optional[CoeffLike] = None,
     reference: Optional[verify.ReferenceSolution] = None,
     grid: int = 21,
     boundary_samples: int = 41,
@@ -739,7 +757,8 @@ def solve_model(
     agree at their shared corner, or :func:`_check_corners` raises before
     inference.
     ``origin_value`` pins u at the expansion origin when the closure leaves
-    that entry undetermined (the additive constant of all-Neumann data).
+    that entry undetermined (the additive constant of all-Neumann data);
+    when it is not given (None), that entry stays 0 and the warning says so.
     The first-order entry it leaves undetermined, U(1, 0) or U(0, 1), is the
     constant term of the Neumann trace on the edge through the origin across
     the marching axis; without one it stays 0 and the warning says so.
@@ -768,16 +787,19 @@ def solve_model(
 
     inferred = infer_missing_seed(known, known_index, bc.on(closure_edge))
     unknown = list(inferred.coeffs)
-    origin_value = as_coeff(origin_value)
-    if origin_value != 0:
-        if known_index == 1 and 0 in inferred.undetermined:
-            unknown[0] = origin_value
-        else:
+    notes = [inferred.warning] if inferred.warning else []
+    open_origin = known_index == 1 and 0 in inferred.undetermined
+    if origin_value is None:
+        if open_origin:
+            notes.append("U(0,0) set to 0: the closure leaves it undetermined and no "
+                         "origin_value is given")
+    elif as_coeff(origin_value) != 0:
+        if not open_origin:
             raise DtmError(
                 "origin_value can only pin an entry the closure left "
                 "undetermined (all-Neumann data with an unknown layer0)"
             )
-    warning = inferred.warning
+        unknown[0] = as_coeff(origin_value)
     if known_index == 1 and 1 in inferred.undetermined:
         # A Neumann closure never sees the first-order entry at the origin.
         cross = bc.on("x=0" if axis == MARCH_IN_N else "y=0")
@@ -786,8 +808,7 @@ def solve_model(
             unknown[1] = taylor_coeffs(cross.trace, 0)[0]
         else:
             entry = "U(1,0)" if axis == MARCH_IN_N else "U(0,1)"
-            note = f"{entry} set to 0: {cross.edge} has no exact Neumann trace"
-            warning = note if warning is None else f"{warning}; {note}"
+            notes.append(f"{entry} set to 0: {cross.edge} has no exact Neumann trace")
 
     # The recurrence keeps the total degree m + n, so entries up to the order
     # need only the first order + 1 entries of each seed layer.
@@ -811,7 +832,7 @@ def solve_model(
         closed_form_error=closed_form,
         inference_method=inferred.method,
         inference_residual=inferred.residual,
-        warning=warning,
+        warning="; ".join(notes) or None,
         working_order=working,
         size=len(spectrum.entries),
     )

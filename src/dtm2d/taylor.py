@@ -170,7 +170,8 @@ def trace_value(f: FuncSpec, t: float) -> float:
     """Evaluate the trace at t using the platform's transcendental functions:
     the sum over terms of (amplitude * token) * base(scale * t), in term
     order, a polynomial base by Horner.  The constants come converted to
-    floats once per trace (``FuncSpec._float_terms``)."""
+    floats once per trace (``FuncSpec._float_terms``).  A sinh, cosh or exp
+    past the float range is +-inf, where math raises."""
     total = 0.0
     for weight, scale, base in f._float_terms:
         u = scale * t
@@ -179,7 +180,10 @@ def trace_value(f: FuncSpec, t: float) -> float:
             for c in base:
                 value = value * u + c
         else:
-            value = base(u)
+            try:
+                value = base(u)
+            except OverflowError:  # only sinh changes sign with u
+                value = math.copysign(math.inf, u) if base is math.sinh else math.inf
         total += weight * value
     return total
 

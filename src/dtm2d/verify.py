@@ -64,7 +64,8 @@ def _project(s: Spectrum2D, r: int = 0, q: int = 0) -> list[list[float]]:
     entry from U(m, n) is (perm(m, r) perm(n, q) U.numerator) / U.denominator,
     the pair read once from U and the perm factors skipped when r = q = 0:
     one correctly rounded integer division, the same float as ``float()`` of
-    the differentiated entry, without building a derivative spectrum.
+    the differentiated entry, without building a derivative spectrum, or
+    +-inf where that division would pass the float range.
     """
     top = [-1] * (s.order + 1)  # highest stored n per derivative row
     for m, n in s.entries:
@@ -79,7 +80,10 @@ def _project(s: Spectrum2D, r: int = 0, q: int = 0) -> list[list[float]]:
             num, den = c.as_integer_ratio()
             if r or q:
                 num *= math.perm(m, r) * math.perm(n, q)
-            rows[i][top[i] - j] = num / den
+            try:
+                rows[i][top[i] - j] = num / den
+            except OverflowError:  # den > 0
+                rows[i][top[i] - j] = math.inf if num > 0 else -math.inf
     rows.reverse()
     return rows
 

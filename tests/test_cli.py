@@ -40,12 +40,28 @@ class TestSolve:
         assert payload["closed_form_max_err"] == pytest.approx(math.sinh(math.pi))
         assert payload["checks"]["passed"] is False
 
-    @pytest.mark.parametrize("order", [MAX_WORKING_ORDER + 1, 650])
-    def test_order_above_working_ceiling_is_config_error(self, capsys, order):
+    @pytest.mark.parametrize("order", [MAX_WORKING_ORDER + 1, 650, 100000])
+    def test_order_above_working_ceiling_is_config_error(self, capsys, monkeypatch, order):
+        def no_seed(*args):
+            raise AssertionError("seed work entered")
+
+        monkeypatch.setattr("dtm2d.solver.taylor_coeffs", no_seed)
         status, out, err = run_cli(capsys, ["solve", "--example", "1", "--order", str(order)])
         assert status == 1
         assert out == ""
-        assert err.startswith("error: working order") and str(MAX_WORKING_ORDER) in err
+        assert err.startswith(f"error: working order {order} is outside 0 to {MAX_WORKING_ORDER}")
+
+    def test_custom_origin_value_absent_warns(self, capsys, tmp_path):
+        # u = 1 on all-Neumann zero data: only origin_value fixes the constant
+        zero = {"kind": "neumann", "trace": {"kind": "zero"}}
+        bc = dict.fromkeys(("y=0", "y=pi", "x=0", "x=pi"), zero)
+        path = tmp_path / "model.json"
+        for extra, warns in (({}, True), ({"origin_value": "1"}, False)):
+            path.write_text(json.dumps({"model": "custom", "order": 4, "bc": bc, **extra}))
+            status, out, _ = run_cli(capsys, ["solve", "--config", str(path), "--format", "json"])
+            assert status == 0
+            warning = json.loads(out)["inference"]["warning"]
+            assert (warning or "").startswith("U(0,0) set to 0") == warns
 
     def test_pretty_output_mentions_status(self, capsys):
         status, out, _ = run_cli(capsys, ["solve", "--example", "2", "--order", "24"])
@@ -142,12 +158,13 @@ class TestSolve:
         assert "cannot write" in err
 
 
-def _y0_config(tmp_path, trace):
-    """A custom config file: the y=0 trace given, Dirichlet, other edges zero."""
+def _y0_config(tmp_path, trace, kind="dirichlet", **extra):
+    """A custom config file: the y=0 trace given, Dirichlet unless ``kind``
+    says otherwise, other edges zero Dirichlet; ``extra`` adds config keys."""
     zero = {"kind": "dirichlet", "trace": {"kind": "zero"}}
-    bc = {"y=0": {"kind": "dirichlet", "trace": trace}, "y=pi": zero, "x=0": zero, "x=pi": zero}
+    bc = {"y=0": {"kind": kind, "trace": trace}, "y=pi": zero, "x=0": zero, "x=pi": zero}
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({"model": "custom", "order": 10, "bc": bc}))
+    path.write_text(json.dumps({"model": "custom", "order": 10, "bc": bc, **extra}))
     return str(path)
 
 
@@ -164,6 +181,22 @@ class TestFailures:
         status, out, err = run_cli(capsys, ["solve", "--config", path])
         assert (status, out) == (1, "")
         assert err.startswith("error: y=0 trace has a constant beyond the float range")
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+    def test_seed_past_float_range_exits_2(self, capsys, tmp_path, kind):
+        trace = {"kind": "sin", "arg_scale": 20, "amplitude": "1e305"}
+        path = _y0_config(tmp_path, trace, kind)
+        status, out, err = run_cli(capsys, ["solve", "--config", path])
+        assert (status, out) == (2, "")
+        assert err.startswith("error: closure condition on y=pi cannot be checked")
+
+    def test_reference_past_float_range_exits_2(self, capsys, tmp_path):
+        path = _y0_config(tmp_path, {"kind": "zero"}, reference="sin(300x)*sinh(300y)")
+        status, out, err = run_cli(capsys, ["solve", "--config", path, "--format", "json"])
+        assert (status, err) == (2, "")
+        payload = json.loads(out)
+        assert not math.isfinite(payload["closed_form_max_err"])
+        assert payload["checks"]["passed"] is False
 
     def test_nan_error_fails_checks(self):
         report = solve_example(1)

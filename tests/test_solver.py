@@ -817,10 +817,19 @@ class TestWorkingOrderCeiling:
             values = (w for rows in weights.values() for row in rows for w in row)
             assert all(map(math.isfinite, values)) == finite
 
-    @pytest.mark.parametrize("order", [MAX_WORKING_ORDER + 1, 650])
-    def test_solve_refuses_orders_above_ceiling(self, order):
-        # at 650 even math.pi**p, the tables' pi powers, overflows
-        with pytest.raises(DtmError, match=f"working order {order} is outside 0 to {MAX_WORKING_ORDER}"):
+    @pytest.mark.parametrize("order", [MAX_WORKING_ORDER + 1, 650, 10**6])
+    def test_solve_refuses_orders_above_ceiling(self, order, monkeypatch):
+        # at 650 even math.pi**p, the tables' pi powers, overflows; the seed
+        # trace was once expanded at the order asked for before the refusal,
+        # 16.7 s and 4.8 GB at order 10**5
+        def bounded(trace, order):
+            assert order <= MAX_WORKING_ORDER, f"seed work at order {order}"
+            return taylor_coeffs(trace, order)
+
+        monkeypatch.setattr("dtm2d.solver.taylor_coeffs", bounded)
+        message = (f"working order {order} is outside 0 to {MAX_WORKING_ORDER}, where the "
+                   f"closure weights are finite floats; lower the order or the argument scales")
+        with pytest.raises(DtmError, match=f"^{re.escape(message)}$"):
             solve_example(1, order)
 
     def test_scale_past_ceiling_named_at_any_order(self):
@@ -882,6 +891,33 @@ class TestFloatRange:
         # the closure residual overflows first
         with pytest.raises(InferenceError, match="closure condition on y=pi cannot be checked"):
             solve_model(model.bc, 20, origin_value=model.origin_value, reference=model.reference)
+
+    @pytest.mark.parametrize("kind, closure", [
+        ("dirichlet", None),
+        ("neumann", None),
+        ("dirichlet", FuncSpec(kind="polynomial", poly_coeffs=(0, 0, Fraction(1, 3)))),
+    ], ids=["dirichlet", "neumann", "float_route"])
+    def test_seed_past_float_range_cannot_be_checked(self, kind, closure):
+        # 1e305 sin(20x) on y=0: its finite constants give seed entries up to
+        # about 4e312, which once raised OverflowError in the closure residual,
+        # or in the float route with a Neumann polynomial closure
+        bc = BoundarySpec(tuple(
+            EdgeCondition("y=0", kind, FuncSpec(kind="sin", arg_scale=20, amplitude=10**305))
+            if edge == "y=0" else
+            EdgeCondition(edge, "neumann", closure) if edge == "y=pi" and closure else
+            EdgeCondition(edge, "dirichlet", FuncSpec())
+            for edge in ("y=0", "y=pi", "x=0", "x=pi")
+        ))
+        method = "float" if closure else "exact"
+        with pytest.raises(InferenceError, match=re.escape(
+                "closure condition on y=pi cannot be checked") + f".*method={method}"):
+            solve_model(bc, 10)
+
+    def test_reference_past_float_range_fails_checks(self):
+        # sinh(300 pi) has no finite float: the closed form reads inf there
+        report = solve_model(_dirichlet_bc(), 36,
+                             reference=ReferenceSolution("sin(300x)*sinh(300y)"))
+        assert not math.isfinite(report.closed_form_error)
 
 
 def _stepped_working_orders(c):
@@ -1064,6 +1100,22 @@ class TestSolveModel:
         report = solve_model(bc, 36, origin_value=model.origin_value)
         assert report.warning.endswith("U(1,0) set to 0: x=0 has no exact Neumann trace")
         assert report.spectrum == enumerate_spectrum(formula_example4, 36)
+
+    def test_u00_without_origin_value_warns(self):
+        # 3 cos 2x cosh 2y, Neumann but on x=pi: the closure cannot see
+        # U(0,0) = 3, and left at 0 it was the whole closed-form error, silently
+        ref = ReferenceSolution("3*cos(2x)*cosh(2y)")
+        bc = BoundarySpec(tuple(
+            EdgeCondition(edge, kind, _edge_trace(ref, edge, kind)) for edge, kind in
+            (("y=0", "neumann"), ("y=pi", "neumann"), ("x=0", "neumann"), ("x=pi", "dirichlet"))
+        ))
+        report = solve_model(bc, 36, reference=ref)
+        assert report.warning.startswith("U(0,0) set to 0")
+        assert report.closed_form_error == pytest.approx(3.0)
+        pinned = solve_model(bc, 36, reference=ref, origin_value=3)
+        assert pinned.warning is None
+        assert pinned.closed_form_error < 1e-8
+        assert solve_model(bc, 36, origin_value=0).warning is None  # a given 0 pins
 
     @pytest.mark.parametrize("edge,poly,corner", [
         ("y=pi", (1,), "(0,pi)"),  # u(x,pi) = 1 with zero data on the other edges

@@ -193,6 +193,14 @@ class TestNumericalConsistency:
         t = 0.7
         assert abs(trace_value(f, t) - 2 * math.cos(2 * t) * math.sinh(2 * math.pi)) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["sinh", "cosh", "exp"])
+    def test_trace_value_past_float_range_is_inf(self, kind):
+        # math raises on sinh, cosh or exp of 300 pi; the trace reads inf
+        assert trace_value(FuncSpec(kind=kind, arg_scale=300), math.pi) == math.inf
+        if kind == "sinh":
+            minus = trace_value(FuncSpec(kind=kind, arg_scale=300, amplitude=-1), math.pi)
+            assert minus == trace_value(FuncSpec(kind=kind, arg_scale=-300), math.pi) == -math.inf
+
 
 def _per_point_trace_value(f, t):
     """Reference: every constant converted again at each point, per term

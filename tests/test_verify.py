@@ -128,6 +128,11 @@ def parity_sparse_spectra(draw):
 
 
 class TestEvalGrid:
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_entry_past_float_range_is_inf(self, sign):
+        s = make_spectrum(0, [(0, 0, sign * 10**400)])
+        assert eval_grid(s, [0.0], [0.0]) == [[sign * math.inf]]
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_bit_identical_to_per_point_horner(self, data):
