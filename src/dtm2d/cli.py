@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -275,10 +276,27 @@ def _pde_label(report: ModelReport) -> str:
     return "exact-zero" if report.pde_residual_is_zero else "NONZERO"
 
 
+def _json_safe(value):
+    """value with each non-finite float as the string CSV and pretty output
+    print ("nan", "inf" or "-inf"), which JSON can hold; null means no value."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(value)
+    if isinstance(value, dict):
+        return {key: _json_safe(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(v) for v in value]
+    return value
+
+
 def _text(out: dict | list[str]) -> str:
-    """A JSON payload as sorted, indented JSON; a list of lines as text."""
+    """A JSON payload as sorted, indented JSON; a list of lines as text.  Only
+    a payload with a non-finite float is walked, after json refuses it."""
     if isinstance(out, dict):
-        return json.dumps(out, indent=2, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(out, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:
+            text = json.dumps(_json_safe(out), indent=2, sort_keys=True)
+        return text + "\n"
     return "\n".join(out) + "\n"
 
 

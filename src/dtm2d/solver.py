@@ -424,7 +424,8 @@ def _infer_exact(known_index, closure_kind, targets, order):
     parities, so these equations hold only the unknown layer; the known
     layer's block is left to the float :func:`_match_residual`, afterwards.
     So u(x, 0) = sin x, other edges 0, passes here at W = 44 and then fails
-    with residual 1.159e+01 (ROADMAP item 2).
+    with residual 1.159e+01: its seed needs coth pi, which no rational times
+    a token series holds, so no order helps.
 
     The work is done on integer pairs, each equation on its own denominators:
     every q[m] and s[p] is read as (numerator, denominator) once per call, and

@@ -1,4 +1,5 @@
-"""Shared oracles, model-spectrum enumerators and hypothesis strategies.
+"""Shared oracles, model-spectrum enumerators, hypothesis strategies and the
+fresh-interpreter runner.
 
 The polynomial oracle is an independent dict-based implementation of
 bivariate polynomial arithmetic (full product, symbolic differentiation,
@@ -8,13 +9,30 @@ truncated exponential composition) used to cross-check the transform rules.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import dtm2d
 from dtm2d import Spectrum2D, make_spectrum
 
 fact = math.factorial
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def run_limited(*args, seconds=60):
+    """(exit status, stdout, stderr) of python run with args in a fresh
+    interpreter that imports this dtm2d; a run longer than seconds fails the
+    test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dtm2d.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, *args], env=env,
+                         capture_output=True, text=True, timeout=seconds)
+    return run.returncode, run.stdout, run.stderr
+
 
 # --------------------------------------------------------------------------
 # The four solved spectra as executable enumerations

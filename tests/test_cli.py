@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +11,13 @@ import pytest
 from dtm2d.cli import ConfigError, RunConfig, _row, build_parser, main, parse_config
 from dtm2d.solver import MAX_WORKING_ORDER, model_catalog, solve_example
 
-from conftest import LEGACY_TOKEN_NAMES, enumerate_spectrum, formula_example3
+from conftest import (
+    LEGACY_TOKEN_NAMES,
+    README,
+    enumerate_spectrum,
+    formula_example3,
+    run_limited,
+)
 
 
 def run_cli(capsys, argv):
@@ -168,35 +175,57 @@ def _y0_config(tmp_path, trace, kind="dirichlet", **extra):
     return str(path)
 
 
+_SIN_1E305 = {"kind": "sin", "arg_scale": 20, "amplitude": "1e305"}
+
+
 class TestFailures:
-    def test_inconsistent_closure_exits_2(self, capsys, tmp_path):
-        path = _y0_config(tmp_path, {"kind": "sin"})
-        status, out, err = run_cli(capsys, ["solve", "--config", path])
-        assert (status, out) == (2, "")
-        assert err.startswith("error: closure condition on y=pi inconsistent")
-
-    @pytest.mark.parametrize("key", ["amplitude", "arg_scale"])
-    def test_constant_beyond_floats_exits_1(self, capsys, tmp_path, key):
-        path = _y0_config(tmp_path, {"kind": "sin", key: "1e400"})
-        status, out, err = run_cli(capsys, ["solve", "--config", path])
-        assert (status, out) == (1, "")
-        assert err.startswith("error: y=0 trace has a constant beyond the float range")
-
-    @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
-    def test_seed_past_float_range_exits_2(self, capsys, tmp_path, kind):
-        trace = {"kind": "sin", "arg_scale": 20, "amplitude": "1e305"}
-        path = _y0_config(tmp_path, trace, kind)
-        status, out, err = run_cli(capsys, ["solve", "--config", path])
-        assert (status, out) == (2, "")
-        assert err.startswith("error: closure condition on y=pi cannot be checked")
+    # Each row: the argv of `dtm solve`, or the _y0_config arguments of its
+    # config file; the exit status; the stderr message after "error: ".
+    @pytest.mark.parametrize("args, status, message", [
+        (["--example", "1", "--order", "650"], 1,
+         f"working order 650 is outside 0 to {MAX_WORKING_ORDER}"),
+        (["--example", "1", "--order", "100000"], 1,
+         f"working order 100000 is outside 0 to {MAX_WORKING_ORDER}"),
+        ({"trace": {"kind": "sin", "arg_scale": 10**7}}, 1,
+         "argument scale 10000000 needs working order 85397378 "),
+        ({"trace": {"kind": "sin", "arg_scale": "1e300"}}, 1,
+         f"argument scale {10**300} needs working order above "),
+        ({"trace": {"kind": "sin", "amplitude": "1e400"}}, 1,
+         "y=0 trace has a constant beyond the float range"),
+        ({"trace": {"kind": "sin", "arg_scale": "1e400"}}, 1,
+         "y=0 trace has a constant beyond the float range"),
+        ({"trace": _SIN_1E305}, 2, "closure condition on y=pi cannot be checked"),
+        ({"trace": _SIN_1E305, "kind": "neumann"}, 2,
+         "closure condition on y=pi cannot be checked"),
+        ({"trace": {"kind": "sin"}}, 2, "closure condition on y=pi inconsistent"),
+    ], ids=["order_650", "order_100000", "scale_1e7", "scale_1e300", "amplitude_1e400",
+            "arg_scale_1e400", "seed_1e305_dirichlet", "seed_1e305_neumann",
+            "inconsistent_closure"])
+    def test_refusal_in_fresh_interpreter(self, tmp_path, args, status, message):
+        # a fresh process under a timeout: a refusal that hangs fails its row
+        if isinstance(args, dict):
+            args = ["--config", _y0_config(tmp_path, **args)]
+        code, out, err = run_limited("-m", "dtm2d.cli", "solve", *args, seconds=20)
+        assert (code, out) == (status, ""), err
+        assert err.startswith(f"error: {message}"), err
+        assert "Traceback" not in err
 
     def test_reference_past_float_range_exits_2(self, capsys, tmp_path):
-        path = _y0_config(tmp_path, {"kind": "zero"}, reference="sin(300x)*sinh(300y)")
-        status, out, err = run_cli(capsys, ["solve", "--config", path, "--format", "json"])
-        assert (status, err) == (2, "")
-        payload = json.loads(out)
-        assert not math.isfinite(payload["closed_form_max_err"])
-        assert payload["checks"]["passed"] is False
+        # strict JSON: a non-finite error is the string "nan", not the token
+        # NaN, in the report and in each convergence row
+        def no_constant(token):
+            raise ValueError(f"{token} is not JSON")
+
+        path = _y0_config(tmp_path, {"kind": "zero"}, order=36,
+                          reference="sin(300x)*sinh(300y)")
+        for ladder, errors in (([], []), (["--convergence-orders", "20,36"], ["nan", "nan"])):
+            argv = ["solve", "--config", path, "--format", "json", *ladder]
+            status, out, err = run_cli(capsys, argv)
+            assert (status, err) == (2, "")
+            payload = json.loads(out, parse_constant=no_constant)
+            assert payload["closed_form_max_err"] == "nan"
+            assert [row["closed_form_max_err"] for row in payload.get("convergence", [])] == errors
+            assert payload["checks"]["passed"] is False
 
     def test_nan_error_fails_checks(self):
         report = solve_example(1)
@@ -537,14 +566,9 @@ class TestConfigHandling:
     def test_unknown_bc_key_is_a_config_error(self, capsys, tmp_path, change, fragment):
         # the README's custom config solves sinh x cos y; one misspelt or
         # extra key must fail the run, not be skipped
-        bc = {
-            "y=0": {"kind": "dirichlet", "trace": {"kind": "sinh"}},
-            "y=pi": {"kind": "dirichlet", "trace": {"kind": "sinh", "sym_amp": {"kind": "cos"}}},
-            "x=0": {"kind": "dirichlet", "trace": {"kind": "zero"}},
-            "x=pi": {"kind": "dirichlet", "trace": {"kind": "cos", "sym_amp": {"kind": "sinh"}}},
-        }
-        config = {"model": "custom", "order": 36, "format": "json",
-                  "reference": "sinh(x)*cos(y)", "bc": bc}
+        readme = README.read_text(encoding="utf-8")
+        config = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        bc = config["bc"]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(config))
         assert run_cli(capsys, ["solve", "--config", str(path)])[0] == 0

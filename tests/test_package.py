@@ -7,8 +7,9 @@ from pathlib import Path
 
 import dtm2d
 
+from conftest import README
+
 SOURCES = sorted(Path(dtm2d.__file__).resolve().parent.glob("*.py"))
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _imported_modules(path):

@@ -4,20 +4,15 @@ import functools
 import hashlib
 import json
 import math
-import os
 import platform
 import re
-import subprocess
-import sys
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dtm2d
 from dtm2d import (
     BoundarySpec,
     CauchySeed,
@@ -76,6 +71,7 @@ from conftest import (
     formula_example3,
     formula_example4,
     reference_descriptor,
+    run_limited,
     small_fractions,
 )
 
@@ -476,17 +472,10 @@ print(repr(fields))
 """
 
 
-def _run_limited(script, *args, seconds=60):
-    """Stdout of script run with args in a fresh interpreter; a run longer
-    than seconds fails the test."""
-    env = dict(os.environ, PYTHONPATH=str(Path(dtm2d.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                         capture_output=True, text=True, check=True, timeout=seconds)
-    return run.stdout
-
-
 def _fresh_result(*steps):
-    return _run_limited(_TABLE_STATE_SCRIPT, *steps)
+    status, out, err = run_limited("-c", _TABLE_STATE_SCRIPT, *steps)
+    assert (status, err) == (0, ""), err
+    return out
 
 
 # Prints the refusal of sin(c x) data on y=0 for each (c, order): two scales
@@ -979,7 +968,9 @@ class TestWorkingOrder:
         # from W ~ 2**53 the float search never ended (w + 1 rounds to w), so
         # past the limit W is only bounded: W > e*pi*c - 1, e*pi < 8.5397342226735671.
         # Order 600 with scale 1e5 once seeded all 854012 coefficients first.
-        lines = _run_limited(_HUGE_SCALE_SCRIPT, seconds=20).splitlines()
+        status, out, err = run_limited("-c", _HUGE_SCALE_SCRIPT, seconds=20)
+        assert (status, err) == (0, ""), err
+        lines = out.splitlines()
         assert len(lines) == 3
         for line, c in zip(lines, (10**300, 10**12)):
             bound = int(re.fullmatch(rf"argument scale {c} needs working order above (\d+), "
