@@ -289,14 +289,9 @@ def _json_safe(value):
 
 
 def _text(out: dict | list[str]) -> str:
-    """A JSON payload as sorted, indented JSON; a list of lines as text.  Only
-    a payload with a non-finite float is walked, after json refuses it."""
+    """A JSON payload as sorted, indented JSON; a list of lines as text."""
     if isinstance(out, dict):
-        try:
-            text = json.dumps(out, indent=2, sort_keys=True, allow_nan=False)
-        except ValueError:
-            text = json.dumps(_json_safe(out), indent=2, sort_keys=True)
-        return text + "\n"
+        return json.dumps(_json_safe(out), indent=2, sort_keys=True, allow_nan=False) + "\n"
     return "\n".join(out) + "\n"
 
 
