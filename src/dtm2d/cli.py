@@ -18,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+from . import verify
 from .solver import (
     BoundarySpec,
     EDGES,
@@ -28,9 +29,8 @@ from .solver import (
     model_catalog,
     solve_model,
 )
-from .spectrum import DtmError, coeff_str, spectrum_to_json
+from .spectrum import DtmError, coeff_str, spectrum_to_json, to_float
 from .taylor import funcspec_from_json
-from .verify import ReferenceSolution
 
 # Residual thresholds for the pass/fail exit status.  The pde residual must
 # vanish identically; boundary and closed-form errors get head-room over the
@@ -120,7 +120,7 @@ def _custom_model(file_cfg: dict) -> Model:
         raise ConfigError("custom model requires a 'bc' object in the config")
     reference = file_cfg.get("reference")
     if reference is not None:
-        reference = ReferenceSolution(reference)
+        reference = verify.ReferenceSolution(reference)
     origin_value = None  # not given: solve_model warns if it leaves u(0, 0) at 0
     if "origin_value" in file_cfg:
         try:
@@ -269,7 +269,7 @@ def _summary(row: dict) -> str:
     """A row's worst edge and closed-form error, as the pretty reports print them."""
     err = row["closed_form_max_err"]
     err_text = "n/a" if err is None else f"{err:.3e}"
-    return f"boundary {max(row['edges'].values()):.3e}  closed-form {err_text}"
+    return f"boundary {verify._worst(row['edges'].values()):.3e}  closed-form {err_text}"
 
 
 def _pde_label(report: ModelReport) -> str:
@@ -353,7 +353,8 @@ def run(config: RunConfig) -> tuple[int, str]:
             "model": report.model,
             "pde_residual": "exact-zero"
             if report.pde_residual_is_zero
-            else max(abs(float(v)) for v in report.pde_residual_spectrum.entries.values()),
+            else verify._worst(abs(to_float(*v.as_integer_ratio()))
+                               for v in report.pde_residual_spectrum.entries.values()),
             "grid": {"x_points": config.grid, "y_points": config.grid},
             "inference": {
                 "method": report.inference_method,
@@ -387,7 +388,7 @@ def _run_verify(fmt: str) -> tuple[int, str]:
             f"{model_id}  order {row['order']:3d}  pde {_pde_label(report):10s}  "
             f"{_summary(row)}  {'PASS' if row['passed'] else 'FAIL'}"
         )
-        row["max_boundary_residual"] = max(row.pop("edges").values())
+        row["max_boundary_residual"] = verify._worst(row.pop("edges").values())
         rows.append(dict(row, model=model_id, pde_residual=_pde_label(report).lower()))
     passed = all(r["passed"] for r in rows)
     lines.append("all models PASS" if passed else "FAILURES present")

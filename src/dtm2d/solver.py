@@ -46,7 +46,7 @@ from . import verify
 # Unused here; kept importable because perfbench/tracer.py wraps these names.
 from .rules import dt_add, dt_derivative  # noqa: F401
 from .spectrum import truncate  # noqa: F401
-from .spectrum import CoeffLike, DtmError, Spectrum2D, as_coeff
+from .spectrum import CoeffLike, DtmError, Spectrum2D, as_coeff, to_float
 from .taylor import _SERIES, FuncSpec, _trace_rounding, taylor_coeffs, trace_value
 
 EDGES = ("x=0", "x=pi", "y=0", "y=pi")
@@ -364,21 +364,6 @@ def _closure_targets(trace: FuncSpec, order: int):
     return parts
 
 
-def _floats(values: list[Fraction]) -> list[float]:
-    """float() of each value, or +-inf for one past the float range, which
-    float() refuses; only a list with such a value is converted twice."""
-    try:
-        return [float(c) for c in values]
-    except OverflowError:
-        out = []
-        for c in values:
-            try:
-                out.append(float(c))
-            except OverflowError:
-                out.append(math.inf if c > 0 else -math.inf)
-        return out
-
-
 def _match_residual(
     layer0: Iterable[Fraction],
     layer1: Iterable[Fraction],
@@ -398,8 +383,8 @@ def _match_residual(
     for index, layer in enumerate((list(layer0), list(layer1))):
         top = [max((j for j, c in enumerate(layer) if c and j % 2 == p), default=-1)
                for p in (0, 1)]
-        layers.append((index, _floats(layer), top))
-    targets = [(_floats(q), value) for q, _, value in targets]
+        layers.append((index, [to_float(*c.as_integer_ratio()) for c in layer], top))
+    targets = [([to_float(*c.as_integer_ratio()) for c in q], value) for q, _, value in targets]
     unit = (order + len(targets) + 8) * 2.0**-53
     errors, bounds = [], []
     for m in range(order + 1):
@@ -495,8 +480,8 @@ def _infer_float(known, known_index, closure_kind, targets, order):
     finite, which no rational holds.
     """
     unknown_index = 1 - known_index
-    known_f = _floats(known)
-    targets = [(_floats(q), value) for q, _, value in targets]
+    known_f = [to_float(*c.as_integer_ratio()) for c in known]
+    targets = [([to_float(*c.as_integer_ratio()) for c in q], value) for q, _, value in targets]
     target_f = [sum(q[m] * value for q, value in targets) for m in range(order + 1)]
     _, weights = _match_tables(order)
     raw: list[Optional[float]] = [None] * (order + 1)
@@ -575,7 +560,7 @@ def infer_missing_seed(
             f"residual {residual} is not a finite float (method={method}, order={order}); "
             f"scale the data down"
         )
-    # A residual within its own rounding bound shows no inconsistency.
+    # A residual within its own rounding bound shows no inconsistency: no error, no warning.
     if residual > RESIDUAL_ERROR and residual > rounding:
         raise InferenceError(
             f"closure condition on {closure_edge.edge} inconsistent: per-degree residual "
@@ -583,7 +568,7 @@ def infer_missing_seed(
             f"(method={method}, order={order}); raise the order or fix the data"
         )
     warning = None
-    if residual > RESIDUAL_WARN:
+    if residual > RESIDUAL_WARN and residual > rounding:
         warning = f"closure residual {residual:.3e} above {RESIDUAL_WARN:.0e}"
     return InferredLayer(coeffs, method, residual, warning, undetermined, raw_floats)
 
@@ -657,14 +642,12 @@ def _check_float_range(bc: BoundarySpec, reference: Optional[verify.ReferenceSol
                                     for h in (replace(f, amplitude=a), g)]))
     for name, terms in named:
         for term in (h for t in terms for h in (t, t.sym_amp) if h is not None):
-            try:
-                for c in (term.amplitude, term.arg_scale, *(term.poly_coeffs or ())):
-                    float(c)
-            except OverflowError as exc:
-                raise DtmError(
-                    f"{name} has a constant beyond the float range (about 1.8e308), "
-                    f"which float verification cannot read"
-                ) from exc
+            for c in (term.amplitude, term.arg_scale, *(term.poly_coeffs or ())):
+                if not math.isfinite(to_float(*c.as_integer_ratio())):
+                    raise DtmError(
+                        f"{name} has a constant beyond the float range (about 1.8e308), "
+                        f"which float verification cannot read"
+                    )
 
 
 def _check_corners(bc: BoundarySpec) -> None:
@@ -726,7 +709,7 @@ def _working_order(bc: BoundarySpec, order: int) -> int:
                 f"no order can be solved at this scale"
             )
         working = max(working, start)
-        scale, target = float(c), log_tail(2, MIN_WORKING_ORDER)
+        scale, target = to_float(*c.as_integer_ratio()), log_tail(2, MIN_WORKING_ORDER)
         while log_tail(scale, working) > target:
             working += 1
     if working > max(order, MAX_WORKING_ORDER):

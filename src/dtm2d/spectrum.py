@@ -3,11 +3,13 @@
 A spectrum is a sparse table of scaled Taylor coefficients ``U(m, n)`` of a
 bivariate function around an expansion point, kept in exact rational
 arithmetic so that downstream algebra is loss-free.  Floats appear only when
-a spectrum is evaluated (see :mod:`dtm2d.verify`).
+a spectrum is evaluated (see :mod:`dtm2d.verify`), and every exact value
+becomes one through :func:`to_float`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -23,6 +25,7 @@ __all__ = [
     "make_spectrum",
     "spectrum_from_json",
     "spectrum_to_json",
+    "to_float",
     "truncate",
 ]
 
@@ -48,6 +51,15 @@ def as_coeff(value: CoeffLike) -> Fraction:
 def coeff_str(value: Fraction) -> str:
     """Render a coefficient as an explicit "p/q" fraction string."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def to_float(num: int, den: int) -> float:
+    """num / den (den > 0) correctly rounded, or +-inf with the sign of num past
+    the float range; a Fraction c converts as ``to_float(*c.as_integer_ratio())``."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _origin_coeff(value) -> Fraction:
@@ -153,8 +165,10 @@ def truncate(s: Spectrum2D, new_order: int) -> Spectrum2D:
 
 def _origin_json(value: Fraction) -> Union[float, str]:
     """A float when one represents the origin exactly, else a "p/q" string."""
-    as_float = float(value)
-    return as_float if Fraction(as_float) == value else coeff_str(value)
+    as_float = to_float(*value.as_integer_ratio())
+    if math.isfinite(as_float) and Fraction(as_float) == value:
+        return as_float
+    return coeff_str(value)
 
 
 def spectrum_to_json(s: Spectrum2D) -> dict:

@@ -18,7 +18,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .spectrum import CoeffLike, DtmError, Spectrum2D, as_coeff
+from .spectrum import CoeffLike, DtmError, Spectrum2D, as_coeff, to_float
 
 KINDS = ("sin", "cos", "sinh", "cosh", "exp", "polynomial", "zero")
 # A token's pi-series must have one parity: the exact inference route matches
@@ -110,10 +110,11 @@ class FuncSpec:
                 continue
             token = 1.0 if term.sym_amp is None else trace_value(term.sym_amp, math.pi)
             if term.kind == "polynomial":
-                base = tuple(float(c) for c in reversed(term.poly_coeffs))
+                base = tuple(to_float(*c.as_integer_ratio()) for c in reversed(term.poly_coeffs))
             else:  # the other kinds are named after their math functions
                 base = getattr(math, term.kind)
-            out.append((float(term.amplitude) * token, float(term.arg_scale), base))
+            out.append((to_float(*term.amplitude.as_integer_ratio()) * token,
+                        to_float(*term.arg_scale.as_integer_ratio()), base))
         return tuple(out)
 
 
@@ -194,13 +195,14 @@ def _base_error(term: FuncSpec, t: float) -> tuple[float, float]:
     rounding of the result plus three of the argument (scale, t and their
     product) times |u g'(u)|, or for polynomials Horner's 2n roundings plus
     the argument's (Higham, ch. 5)."""
-    u = float(term.arg_scale) * t
+    u = to_float(*term.arg_scale.as_integer_ratio()) * t
     if term.kind == "polynomial":
         n = len(term.poly_coeffs)
         value = size = 0.0
         for i, c in reversed(list(enumerate(term.poly_coeffs))):
-            value = value * u + float(c)
-            size += (2 * n + 3 * i) * abs(float(c)) * abs(u) ** i
+            c = to_float(*c.as_integer_ratio())
+            value = value * u + c
+            size += (2 * n + 3 * i) * abs(c) * abs(u) ** i
         return abs(value), size
     value = abs(getattr(math, term.kind)(u))
     return value, value + 3 * abs(u * getattr(math, _SERIES[term.kind][3])(u))
@@ -223,7 +225,8 @@ def _trace_rounding(f: FuncSpec, t: float) -> float:
         token, token_err = (
             (1.0, 0.0) if term.sym_amp is None else _base_error(term.sym_amp, math.pi)
         )
-        size += abs(float(term.amplitude)) * (token_err * base + token * base_err)
+        amplitude = to_float(*term.amplitude.as_integer_ratio())
+        size += abs(amplitude) * (token_err * base + token * base_err)
     return (len(terms) + 3) * 2.0**-52 * size
 
 

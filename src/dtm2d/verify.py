@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 # Unused here; kept importable because perfbench/tracer.py wraps this name.
 from .rules import dt_derivative  # noqa: F401
-from .spectrum import DtmError, Spectrum2D
+from .spectrum import DtmError, Spectrum2D, to_float
 from .taylor import FuncSpec, trace_value
 
 if TYPE_CHECKING:  # runtime import would be circular; solver imports verify
@@ -63,9 +63,8 @@ def _project(s: Spectrum2D, r: int = 0, q: int = 0) -> list[list[float]]:
     through the trimmed +0.0 slots, so no value or sign of zero changes.  The
     entry from U(m, n) is (perm(m, r) perm(n, q) U.numerator) / U.denominator,
     the pair read once from U and the perm factors skipped when r = q = 0:
-    one correctly rounded integer division, the same float as ``float()`` of
-    the differentiated entry, without building a derivative spectrum, or
-    +-inf where that division would pass the float range.
+    one :func:`to_float` of the differentiated entry, without building a
+    derivative spectrum.
     """
     top = [-1] * (s.order + 1)  # highest stored n per derivative row
     for m, n in s.entries:
@@ -80,10 +79,7 @@ def _project(s: Spectrum2D, r: int = 0, q: int = 0) -> list[list[float]]:
             num, den = c.as_integer_ratio()
             if r or q:
                 num *= math.perm(m, r) * math.perm(n, q)
-            try:
-                rows[i][top[i] - j] = num / den
-            except OverflowError:  # den > 0
-                rows[i][top[i] - j] = math.inf if num > 0 else -math.inf
+            rows[i][top[i] - j] = to_float(num, den)
     rows.reverse()
     return rows
 
@@ -119,7 +115,7 @@ def eval_grid(
     every value is bit-identical across runs, grid shapes and call sites.
     """
     rows = _project(s)
-    ox, oy = float(s.origin[0]), float(s.origin[1])
+    ox, oy = (to_float(*c.as_integer_ratio()) for c in s.origin)
     values: list[list[float]] = [[] for _ in xs]
     for y in ys:
         sums = _row_sums(rows, y - oy)
@@ -159,7 +155,7 @@ def boundary_residual(
     if samples < 2:
         raise DtmError(f"need at least 2 samples per edge, got {samples}")
     ts = [i * math.pi / (samples - 1) for i in range(samples)]
-    ox, oy = float(s.origin[0]), float(s.origin[1])
+    ox, oy = (to_float(*c.as_integer_ratio()) for c in s.origin)
     projected: dict[tuple[int, int], list[list[float]]] = {}
     sums: dict[tuple[tuple[int, int], float], list[float]] = {}
     out: dict[str, float] = {}
@@ -191,8 +187,9 @@ def compare_closed_form(s: Spectrum2D, ref: ReferenceSolution, grid: int) -> flo
     exact = [[0.0] * grid for _ in points]
     for a, f, g in ref.terms:
         ys = [trace_value(g, y) for y in points]
+        weight = to_float(*a.as_integer_ratio())
         for x, row in zip(points, exact):
-            fx = float(a) * trace_value(f, x)
+            fx = weight * trace_value(f, x)
             row[:] = [u + fx * gy for u, gy in zip(row, ys)]
     return _worst(
         abs(value - u) for row, exact_row in zip(values, exact) for value, u in zip(row, exact_row)

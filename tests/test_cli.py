@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from dtm2d.cli import ConfigError, RunConfig, _row, build_parser, main, parse_config
+from dtm2d.cli import ConfigError, RunConfig, _row, _summary, build_parser, main, parse_config
 from dtm2d.solver import MAX_WORKING_ORDER, model_catalog, solve_example
 
 from conftest import (
@@ -227,12 +227,19 @@ class TestFailures:
             assert [row["closed_form_max_err"] for row in payload.get("convergence", [])] == errors
             assert payload["checks"]["passed"] is False
 
-    def test_nan_error_fails_checks(self):
+    def test_nan_error_fails_checks(self, capsys, monkeypatch):
         report = solve_example(1)
         assert _row(report)["passed"]
         nan_edge = dict(report.boundary_residuals, **{"y=pi": math.nan})
-        assert not _row(replace(report, boundary_residuals=nan_edge))["passed"]
+        nan_report = replace(report, boundary_residuals=nan_edge)
+        assert not _row(nan_report)["passed"]
         assert not _row(replace(report, closed_form_error=math.nan))["passed"]
+        # the NaN edge is the last of the sorted four; no summary may hide it
+        assert _summary(_row(nan_report)).startswith("boundary nan")
+        monkeypatch.setattr("dtm2d.cli._solve", lambda *args: nan_report)
+        status, out, _ = run_cli(capsys, ["verify", "--format", "json"])
+        assert status == 2
+        assert {row["max_boundary_residual"] for row in json.loads(out)["models"]} == {"nan"}
 
 
 class TestSpectrumCommand:

@@ -30,7 +30,8 @@ HYPERBOLIC = ("sinh", "cosh")
 # k = p/q with p <= 6 holds the derived working order to at most 85.  From
 # about k = 5 the float closure residual is rounding noise, about e**(k pi)
 # * 2**-52 times the data's coefficients, above the warning level; at k = 6
-# it can pass the error level and inference relies on its rounding bound.
+# it can pass the error level.  Inference neither warns nor fails within its
+# rounding bound.
 scales = st.builds(Fraction, st.integers(1, 6), st.integers(1, 4))
 amplitudes = st.builds(
     lambda p, q, sign: sign * Fraction(p, q),

@@ -788,12 +788,20 @@ class TestInferMissingSeed:
         monkeypatch.setattr("dtm2d.solver._infer_float", no_float_route)
         result = infer_missing_seed(zero, 0, closure)
         assert result.method == "exact"
+        # above the warning level but within its rounding bound (1.0e-4): no warning
         assert result.residual > 1e-9
+        assert result.warning is None
         sin_x = taylor_coeffs(FuncSpec(kind="sin"), order)
         sin_6x = taylor_coeffs(FuncSpec(kind="sin", arg_scale=6), order)
         # U(m, 1) for m < order; the last entry lies outside the triangle
         expected = tuple(a + 6 * b for a, b in zip(sin_x, sin_6x))
         assert result.coeffs[:order] == expected[:order]
+
+    def test_residual_above_its_rounding_bound_warns(self, monkeypatch):
+        monkeypatch.setattr("dtm2d.solver._match_residual", lambda *args: (5e-8, 1e-12))
+        known, known_index = _model_known("example1", 44)
+        result = infer_missing_seed(known, known_index, _model_closure("example1"))
+        assert result.warning == "closure residual 5.000e-08 above 1e-09"
 
 
 class TestWorkingOrderCeiling:
@@ -860,6 +868,10 @@ class TestFloatRange:
         monkeypatch.setattr("dtm2d.solver.infer_missing_seed", no_inference)
         with pytest.raises(DtmError, match="reference has a constant beyond the float range"):
             solve_model(model.bc, 10, reference=reference)
+        # compared on its own, such a reference gives a non-finite error
+        spectrum = outer_product(taylor_coeffs(FuncSpec(kind="sin"), 10),
+                                 taylor_coeffs(FuncSpec(kind="sinh"), 10), 10)
+        assert not math.isfinite(compare_closed_form(spectrum, reference, 5))
 
     def test_exact_coefficients_of_such_a_trace_allowed(self):
         big = 10**400
@@ -1077,7 +1089,7 @@ class TestSolveModel:
 
     def test_inconsistent_closure_raises(self):
         # u(x,0) = sin x, the other edges zero: the exact route reads it as
-        # consistent and the float closure residual then fails (ROADMAP item 2)
+        # consistent and the float closure residual then fails
         with pytest.raises(InferenceError, match=re.escape("closure condition on y=pi inconsistent")):
             solve_model(_dirichlet_bc(y0=FuncSpec(kind="sin")), 10)
 

@@ -1,6 +1,7 @@
 """Spectrum construction, access, truncation and serialization."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from dtm2d import (
     spectrum_to_json,
     truncate,
 )
-from dtm2d.spectrum import as_coeff, coeff_str
+from dtm2d.spectrum import as_coeff, coeff_str, to_float
 
 from conftest import formula_example1, formula_example3, enumerate_spectrum, spectra, small_fractions
 
@@ -145,6 +146,38 @@ class TestProperties:
         assert lhs == rhs
 
 
+# Fractions across the whole float range and past it: any float nudged by a
+# rational, subnormals and values below them, values either side of the
+# overflow threshold 2**1024 - 2**970, and quotients of integers of up to
+# about 1100 bits.
+_FLOAT_EDGE = 2**1024
+wide_fractions = st.one_of(
+    st.builds(lambda x, d: Fraction(x) + d, st.floats(allow_nan=False, allow_infinity=False),
+              st.fractions(max_denominator=2**1100) | st.just(Fraction(0))),
+    st.builds(lambda k, e: Fraction(k, 2**e), st.integers(-2**60, 2**60), st.integers(1000, 1140)),
+    st.builds(lambda k, s: s * (_FLOAT_EDGE - Fraction(k, 3) * 2**965),
+              st.integers(-2**7, 2**7), st.sampled_from((1, -1))),
+    st.builds(Fraction, st.integers(-2**1100, 2**1100), st.integers(1, 2**1100)),
+)
+
+
+class TestToFloat:
+    @given(wide_fractions)
+    @example(Fraction(1, 2**1074))  # least subnormal
+    @example(Fraction(-1, 2**1076))  # rounds to -0.0
+    @example(Fraction(_FLOAT_EDGE - 2**971) + Fraction(1, 3))  # the largest float
+    @example(Fraction(_FLOAT_EDGE - 2**970))  # halfway past the largest float: inf
+    @example(Fraction(-(_FLOAT_EDGE - 2**970) + 1))  # just short of halfway: finite
+    def test_bit_equal_to_float_or_signed_inf(self, c):
+        got = to_float(*c.as_integer_ratio())
+        try:
+            expected = float(c)
+        except OverflowError:
+            assert got == (math.inf if c > 0 else -math.inf)
+        else:
+            assert got.hex() == expected.hex()
+
+
 class TestSerialization:
     def test_json_shape_and_sorting(self):
         s = make_spectrum(3, [(0, 1, Fraction(1, 2)), (1, 0, -2), (3, 0, Fraction(1, 6))])
@@ -160,6 +193,7 @@ class TestSerialization:
     @given(spectra(), st.tuples(origins, origins))
     @example(make_spectrum(2, [(0, 0, 1)]), (0.1, 0.7))
     @example(make_spectrum(2, [(0, 0, 1)]), (Fraction(1, 3), 0))
+    @example(make_spectrum(2, [(0, 0, 1)]), (Fraction(10**400), 0))  # past the float range
     def test_round_trip_property(self, s, origin):
         s = make_spectrum(s.order, [(m, n, c) for (m, n), c in s.entries.items()], origin)
         blob = json.dumps(spectrum_to_json(s))

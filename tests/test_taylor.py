@@ -195,8 +195,10 @@ class TestNumericalConsistency:
 
     @pytest.mark.parametrize("kind", ["sinh", "cosh", "exp"])
     def test_trace_value_past_float_range_is_inf(self, kind):
-        # math raises on sinh, cosh or exp of 300 pi; the trace reads inf
+        # math raises on sinh, cosh or exp of 300 pi; the trace reads inf, as
+        # it does for an amplitude that no float holds
         assert trace_value(FuncSpec(kind=kind, arg_scale=300), math.pi) == math.inf
+        assert trace_value(FuncSpec(kind=kind, amplitude=10**400), 1.0) == math.inf
         if kind == "sinh":
             minus = trace_value(FuncSpec(kind=kind, arg_scale=300, amplitude=-1), math.pi)
             assert minus == trace_value(FuncSpec(kind=kind, arg_scale=-300), math.pi) == -math.inf

@@ -133,6 +133,14 @@ class TestEvalGrid:
         s = make_spectrum(0, [(0, 0, sign * 10**400)])
         assert eval_grid(s, [0.0], [0.0]) == [[sign * math.inf]]
 
+    def test_origin_past_float_range_is_not_finite(self):
+        # the origin reads as inf, so every offset from it does; no OverflowError
+        s = make_spectrum(2, [(0, 0, 1), (1, 0, 1)], origin=(Fraction(10**400), 0))
+        zero = BoundarySpec(tuple(EdgeCondition(e, "dirichlet", FuncSpec()) for e in EDGE_NAMES))
+        values = [*eval_grid(s, [0.0], [0.0, 1.0])[0], eval2d(s, 1.0, 2.0),
+                  *boundary_residual(s, zero, 5).values()]
+        assert not any(map(math.isfinite, values))
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_bit_identical_to_per_point_horner(self, data):
