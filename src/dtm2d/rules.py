@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .spectrum import CoeffLike, DtmError, Spectrum2D, as_coeff
+from .spectrum import CoeffLike, DtmError, Spectrum2D, as_coeff, to_float
 
 __all__ = [
     "ExpPrefactor",
@@ -126,7 +126,11 @@ class ExpPrefactor:
     exponent: Fraction
 
     def to_float(self) -> float:
-        return math.exp(self.exponent)
+        """e**exponent, or 0.0 and inf where it leaves the float range."""
+        try:
+            return math.exp(to_float(*self.exponent.as_integer_ratio()))
+        except OverflowError:
+            return math.inf
 
     def __str__(self) -> str:
         return f"exp({self.exponent})"

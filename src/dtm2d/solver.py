@@ -64,12 +64,6 @@ MIN_WORKING_ORDER = 44
 # finite; from 499 the largest, C(W, 2k) pi**2k and kin, overflow.
 MAX_WORKING_ORDER = 498
 
-# Largest search start of _working_order.  Up to it the float log tail finds
-# W exactly: its rounding, about W ln W 2**-52, stays below 1e-4 of its step
-# per unit of W (at least 1 from e*pi*c on), and the search agreed with a
-# 60-digit one on sampled scales up to 1e11 (W ~ 9e11).  From about 1e12 it
-# is only approximate, and from W ~ 2**53 w + 1 rounds to w and it never ends.
-_SEARCH_LIMIT = 10**10
 _E_PI_BELOW = Fraction("8.539734222673567")  # e*pi = 8.5397342226735670654...
 
 RESIDUAL_ERROR = 1e-6
@@ -679,14 +673,13 @@ def _working_order(bc: BoundarySpec, order: int) -> int:
     (2*pi)**45 / 45!; scales up to 2 meet that at the floor.  c is taken over
     every token and every term with an infinite series (a sin, cos, sinh,
     cosh or exp of nonzero amplitude); a zero or polynomial term has no tail.
-    No w with w + 1 <= e*pi*c meets the target (there the tail is at least
-    1 / (e sqrt(w + 1)) by Stirling), so the search starts just below e*pi*c,
-    at a start computed exactly from c, which may lie past the float range.
 
-    Raises DtmError naming c when it alone lifts W above MAX_WORKING_ORDER
-    and the order, so that no order can be solved: with W itself, or with the
-    start as a lower bound when that is past _SEARCH_LIMIT.  An order above
-    the ceiling gets :func:`infer_missing_seed`'s refusal, before any seed work."""
+    An order above MAX_WORKING_ORDER gets :func:`infer_missing_seed`'s
+    refusal first.  No w with w + 1 <= e*pi*c meets the target (there the
+    tail is at least 1 / (e sqrt(w + 1)) by Stirling), so the search starts
+    just below e*pi*c, at most at MAX_WORKING_ORDER, and steps up to it.  A
+    scale still unresolved there raises DtmError naming c: no order can be
+    solved at it."""
 
     def log_tail(scale, w):
         return (w + 1) * math.log(scale * math.pi) - math.lgamma(w + 2)
@@ -700,25 +693,18 @@ def _working_order(bc: BoundarySpec, order: int) -> int:
                 scales.append(abs(term.sym_amp.arg_scale))
     c = max(scales)
     working = max(order, MIN_WORKING_ORDER)
+    _check_working_order(working)
     if c > 2:
-        start = math.ceil(_E_PI_BELOW * c) - 2
-        if start > _SEARCH_LIMIT:
-            raise DtmError(
-                f"argument scale {c} needs working order above {start}, far above "
-                f"{MAX_WORKING_ORDER}, where the closure weights are finite floats; "
-                f"no order can be solved at this scale"
-            )
-        working = max(working, start)
+        working = max(working, min(math.ceil(_E_PI_BELOW * c) - 2, MAX_WORKING_ORDER))
         scale, target = to_float(*c.as_integer_ratio()), log_tail(2, MIN_WORKING_ORDER)
         while log_tail(scale, working) > target:
+            if working == MAX_WORKING_ORDER:
+                raise DtmError(
+                    f"argument scale {c} needs working order above {MAX_WORKING_ORDER} to "
+                    "resolve the closure series, where the closure weights are finite "
+                    "floats; no order can be solved at this scale"
+                )
             working += 1
-    if working > max(order, MAX_WORKING_ORDER):
-        raise DtmError(
-            f"argument scale {c} needs working order {working} to resolve the closure "
-            f"series, above {MAX_WORKING_ORDER}, where the closure weights are finite "
-            f"floats; no order can be solved at this scale"
-        )
-    _check_working_order(working)
     return working
 
 

@@ -63,8 +63,11 @@ def to_float(num: int, den: int) -> float:
 
 
 def _origin_coeff(value) -> Fraction:
-    """Origins may be given as floats (exact binary rationals); entries may not."""
+    """Origins may be given as finite floats (exact binary rationals); entries
+    may not."""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DtmError(f"origin must be finite, got {value!r}")
         return Fraction(value)
     return as_coeff(value)
 
@@ -187,12 +190,17 @@ def spectrum_from_json(data: Mapping) -> Spectrum2D:
 
     An origin coordinate is a float, read back as its exact binary rational
     (the rule :class:`Spectrum2D` applies), or a "p/q" string for a rational
-    no float represents; either way the origin survives the round trip.
+    no float represents; either way the origin survives the round trip.  The
+    order and the indices must be integers, and each entry a coefficient
+    (:func:`as_coeff`), never a float.
     """
     try:
-        order = int(data["order"])
+        order = data["order"]
         ox, oy = data.get("origin", [0, 0])
-        triples = [(int(m), int(n), str(v)) for m, n, v in data["entries"]]
+        triples = [(m, n, v) for m, n, v in data["entries"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DtmError(f"malformed spectrum JSON: {exc}") from exc
+    for index in (order, *(i for m, n, _ in triples for i in (m, n))):
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise DtmError(f"malformed spectrum JSON: {index!r} is not an integer")
     return make_spectrum(order, triples, (ox, oy))

@@ -23,6 +23,7 @@ from dtm2d import (
     outer_product,
     taylor_coeffs,
 )
+from dtm2d.rules import ExpPrefactor
 from dtm2d.taylor import FuncSpec
 
 from conftest import (
@@ -274,6 +275,9 @@ class TestExp:
         u, pre = dt_exp_factored(v, 2)
         assert pre.exponent == 3
         assert abs(pre.to_float() - math.exp(3)) < 1e-12
+        # past the float range the prefactor reads 0.0 or inf
+        assert ExpPrefactor(Fraction(-10**400)).to_float() == 0.0
+        assert ExpPrefactor(Fraction(710)).to_float() == math.inf
         shifted = make_spectrum(3, [(1, 0, 1)])
         assert u == dt_exp(shifted, 2)
 

@@ -54,7 +54,6 @@ from dtm2d.solver import (
     _match_tables,
     _match_terms,
     _odd_transfer,
-    _SEARCH_LIMIT,
     _term_ks,
     _trace_rounding,
     _working_order,
@@ -829,12 +828,22 @@ class TestWorkingOrderCeiling:
         with pytest.raises(DtmError, match=f"^{re.escape(message)}$"):
             solve_example(1, order)
 
-    def test_scale_past_ceiling_named_at_any_order(self):
-        # scale 60 needs working order 553 whatever order is asked for
+    def test_scale_past_ceiling_named_at_any_order(self, monkeypatch):
+        # scale 60 needs working order 553 whatever order is asked for; the
+        # search stops at the ceiling, so it never reads the tail past it
+        # (each tail takes lgamma(W + 2))
+        arguments = []
+
+        def lgamma(x, lgamma=math.lgamma):
+            arguments.append(x)
+            return lgamma(x)
+
+        monkeypatch.setattr(math, "lgamma", lgamma)
         model = closed_form_model("s", "sin(60x)*sinh(60y)", "dirichlet", 10)
         for order in (10, MAX_WORKING_ORDER):
-            with pytest.raises(DtmError, match="argument scale 60 needs working order 553"):
+            with pytest.raises(DtmError, match=f"^argument scale 60 {_CEILING_NEEDED}"):
                 solve_model(model.bc, order)
+        assert max(arguments) == MAX_WORKING_ORDER + 2
 
 
 class TestFloatRange:
@@ -921,12 +930,18 @@ class TestFloatRange:
         assert not math.isfinite(report.closed_form_error)
 
 
+# The scale refusal after "argument scale {c} ".
+_CEILING_NEEDED = (f"needs working order above {MAX_WORKING_ORDER} to resolve the closure "
+                   "series, where the closure weights are finite floats; no order can be "
+                   "solved at this scale")
+
+
 def _stepped_working_orders(c):
     """Reference: for each order up to MAX_WORKING_ORDER, the least
-    W >= max(order, MIN_WORKING_ORDER) whose tail (c*pi)**(W+1) / (W+1)! is at
-    most the catalog's, found by stepping W up by one.  A step from W reads
-    the answer from W + 1 (or from the first W past the ceiling that meets
-    the target), so each tail is evaluated once."""
+    W >= max(order, MIN_WORKING_ORDER), at most MAX_WORKING_ORDER, whose tail
+    (c*pi)**(W+1) / (W+1)! is at most the catalog's, found by stepping W up
+    by one; None when no such W exists.  A step from W reads the answer from
+    W + 1, so each tail is evaluated once."""
 
     def log_tail(scale, w):
         return (w + 1) * math.log(scale * math.pi) - math.lgamma(w + 2)
@@ -934,12 +949,9 @@ def _stepped_working_orders(c):
     def meets(w):
         return c <= 2 or log_tail(c, w) <= log_tail(2, MIN_WORKING_ORDER)
 
-    past = MAX_WORKING_ORDER + 1
-    while not meets(past):
-        past += 1
     answers = {}
     for w in range(MAX_WORKING_ORDER, MIN_WORKING_ORDER - 1, -1):
-        answers[w] = w if meets(w) else answers.get(w + 1, past)
+        answers[w] = w if meets(w) else answers.get(w + 1)
     return [answers[max(order, MIN_WORKING_ORDER)] for order in range(MAX_WORKING_ORDER + 1)]
 
 
@@ -957,38 +969,46 @@ class TestWorkingOrder:
         scales = sorted({Fraction(p, q) for q in (1, 2) for p in range(1, 60 * q + 1)})
         for c in scales:
             bc = _dirichlet_bc(y0=FuncSpec(kind="sin", arg_scale=c))
+            refusal = f"argument scale {c} {_CEILING_NEEDED}"
             for order, expected in enumerate(_stepped_working_orders(c)):
                 try:
                     got = _working_order(bc, order)
                 except DtmError as exc:
-                    got = int(re.search(r"needs working order (\d+) ", str(exc)).group(1))
-                    assert got > MAX_WORKING_ORDER
-                assert got == expected
+                    assert (expected, str(exc)) == (None, refusal)
+                else:
+                    assert got == expected
 
     @pytest.mark.parametrize("bc, scale, working", [
-        (_dirichlet_bc(y0=FuncSpec(kind="sin", arg_scale=10**5)), 10**5, 854012),
-        (_dirichlet_bc(y0=FuncSpec(kind="sin", arg_scale=10**7)), 10**7, 85397378),
+        # scale 1e5 needs W = 854012, 1e7 needs W = 85397378
+        (_dirichlet_bc(y0=FuncSpec(kind="sin", arg_scale=10**5)), 10**5, None),
+        (_dirichlet_bc(y0=FuncSpec(kind="sin", arg_scale=10**7)), 10**7, None),
         # a token lifts the working order on its own: cos(60 pi) here
         (_dirichlet_bc(y0=FuncSpec(kind="sinh"), ypi=FuncSpec(
-            kind="sinh", sym_amp=FuncSpec(kind="cos", arg_scale=60))), 60, 553),
-    ], ids=["sin_1e5", "sin_1e7", "token_60"])
+            kind="sinh", sym_amp=FuncSpec(kind="cos", arg_scale=60))), 60, None),
+        # either side of the ceiling: 54 needs W = 501
+        (closed_form_model("s", "sin(53x)*sinh(53y)", "dirichlet", 10).bc, 53, 493),
+        (closed_form_model("s", "sin(54x)*sinh(54y)", "dirichlet", 10).bc, 54, None),
+    ], ids=["sin_1e5", "sin_1e7", "token_60", "sin_53", "sin_54"])
     def test_scale_named_at_once(self, bc, scale, working):
-        with pytest.raises(DtmError, match=f"argument scale {scale} needs working order {working} "):
-            solve_model(bc, 10)
+        if working is None:
+            with pytest.raises(DtmError, match=f"^argument scale {scale} {_CEILING_NEEDED}$"):
+                solve_model(bc, 10)
+        else:
+            assert solve_model(bc, 10).working_order == working
 
-    def test_scale_past_search_limit_refused_at_once(self):
-        # from W ~ 2**53 the float search never ended (w + 1 rounds to w), so
-        # past the limit W is only bounded: W > e*pi*c - 1, e*pi < 8.5397342226735671.
-        # Order 600 with scale 1e5 once seeded all 854012 coefficients first.
+    def test_huge_scale_refused_at_once(self):
+        # a fresh interpreter under a timeout: the float search once never
+        # ended at scale 10**300 (w + 1 rounds to w from W ~ 2**53).  An order
+        # above the ceiling is refused first; order 600 with scale 1e5 once
+        # seeded all 854012 coefficients before any refusal.
         status, out, err = run_limited("-c", _HUGE_SCALE_SCRIPT, seconds=20)
         assert (status, err) == (0, ""), err
-        lines = out.splitlines()
-        assert len(lines) == 3
-        for line, c in zip(lines, (10**300, 10**12)):
-            bound = int(re.fullmatch(rf"argument scale {c} needs working order above (\d+), "
-                                     rf"far above {MAX_WORKING_ORDER}, .*", line).group(1))
-            assert _SEARCH_LIMIT < bound < Fraction("8.5397342226735671") * c - 1
-        assert lines[2].startswith("argument scale 100000 needs working order 854012 ")
+        assert out.splitlines() == [
+            f"argument scale {10**300} {_CEILING_NEEDED}",
+            f"argument scale {10**12} {_CEILING_NEEDED}",
+            f"working order 600 is outside 0 to {MAX_WORKING_ORDER}, where the closure "
+            f"weights are finite floats; lower the order or the argument scales",
+        ]
 
     def test_zero_trace_scale_does_not_lift(self):
         # u = sin x cosh y; its x=0 trace is zero, here written at scale 60

@@ -200,5 +200,18 @@ class TestSerialization:
         assert spectrum_from_json(json.loads(blob)) == s
 
     def test_malformed_rejected(self):
-        with pytest.raises(DtmError):
-            spectrum_from_json({"order": 2})
+        for text in (
+            '{"order": 2}',
+            # once read as order 2, index 1, order 1 and the entry 1/10
+            '{"order": 2.7, "entries": []}',
+            '{"order": 2, "entries": [[1.9, 0, "1/2"]]}',
+            '{"order": true, "entries": []}',
+            '{"order": 2, "entries": [[1, 0, 0.1]]}',
+            # json.loads accepts these tokens; they once raised bare exceptions
+            '{"order": 2, "origin": [Infinity, 0], "entries": []}',
+            '{"order": 2, "origin": [0, NaN], "entries": []}',
+        ):
+            with pytest.raises(DtmError):
+                spectrum_from_json(json.loads(text))
+        with pytest.raises(DtmError, match="origin must be finite"):
+            make_spectrum(2, origin=(math.inf, 0))
