@@ -193,7 +193,7 @@ def propagate(seed: CauchySeed) -> Spectrum2D:
                 table[(n + 2, m - 2) if swap else (m - 2, n + 2)] = value
                 row.append((m - 2, *value.as_integer_ratio()))
         older, old = old, row
-    return Spectrum2D(n_order, (Fraction(0), Fraction(0)), table)
+    return Spectrum2D(n_order, entries=table)
 
 
 def _even_transfer(m: int, k: int) -> int:
@@ -253,7 +253,7 @@ def residual_laplacian(s: Spectrum2D) -> Spectrum2D:
     for (m, n), c in u.items():
         if n >= 2 and (m + 2, n - 2) not in u:
             table[(m, n - 2)] = n * (n - 1) * c
-    return Spectrum2D(s.order - 2, s.origin, table)
+    return Spectrum2D(s.order - 2, entries=table)
 
 
 # --------------------------------------------------------------------------
@@ -604,7 +604,8 @@ class Model:
 
 
 def _choose_axis(bc: BoundarySpec) -> str:
-    """March along whichever axis carries nonzero seed data, preferring n."""
+    """March in n if y=0 carries nonzero data, else in m if x=0 does, else in n
+    if y=pi does, else in m."""
     if not bc.on("y=0").trace.is_zero():
         return MARCH_IN_N
     if not bc.on("x=0").trace.is_zero():
@@ -788,7 +789,7 @@ def solve_model(
     if order >= 2:
         pde_residual = residual_laplacian(spectrum)
     else:
-        pde_residual = Spectrum2D(0, (Fraction(0), Fraction(0)), {})
+        pde_residual = Spectrum2D(0)
     residuals = verify.boundary_residual(spectrum, bc, boundary_samples)
     closed_form = None
     if reference is not None:

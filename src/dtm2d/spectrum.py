@@ -1,7 +1,7 @@
 """Core value types: exact rational coefficients and triangular 2D spectra.
 
 A spectrum is a sparse table of scaled Taylor coefficients ``U(m, n)`` of a
-bivariate function around an expansion point, kept in exact rational
+bivariate function at the corner (0, 0) of the square, kept in exact rational
 arithmetic so that downstream algebra is loss-free.  Floats appear only when
 a spectrum is evaluated (see :mod:`dtm2d.verify`), and every exact value
 becomes one through :func:`to_float`.
@@ -62,16 +62,6 @@ def to_float(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def _origin_coeff(value) -> Fraction:
-    """Origins may be given as finite floats (exact binary rationals); entries
-    may not."""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise DtmError(f"origin must be finite, got {value!r}")
-        return Fraction(value)
-    return as_coeff(value)
-
-
 @dataclass(frozen=True)
 class Spectrum2D:
     """Triangular table of coefficients U(m, n) for m + n <= order.
@@ -79,18 +69,20 @@ class Spectrum2D:
     Entries are stored sparsely; a missing key reads as zero and zero values
     are never stored.  Instances are immutable values: the entries dict is
     private to the instance and must not be mutated after construction.
+    The expansion point is always (0, 0): ``origin`` stays the second field so
+    that ``Spectrum2D(order, (0, 0), entries)`` builds, and any other value is
+    refused.
     """
 
     order: int
-    origin: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))
+    origin: tuple[CoeffLike, CoeffLike] = (0, 0)
     entries: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.order < 0:
-            raise DtmError(f"order must be non-negative, got {self.order}")
-        object.__setattr__(
-            self, "origin", (_origin_coeff(self.origin[0]), _origin_coeff(self.origin[1]))
-        )
+        if isinstance(self.order, bool) or not isinstance(self.order, int) or self.order < 0:
+            raise DtmError(f"order must be a non-negative integer, got {self.order!r}")
+        if self.origin != (0, 0):
+            raise DtmError(f"origin must be (0, 0), got {self.origin!r}")
         for (m, n), value in self.entries.items():
             if m < 0 or n < 0:
                 raise DtmError(f"negative index ({m},{n})")
@@ -113,33 +105,23 @@ class Spectrum2D:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Spectrum2D):
             return NotImplemented
-        return (
-            self.order == other.order
-            and self.origin == other.origin
-            and dict(self.entries) == dict(other.entries)
-        )
+        return self.order == other.order and dict(self.entries) == dict(other.entries)
 
-    def __repr__(self) -> str:  # compact: only non-default origin shown
-        parts = [f"order={self.order}"]
-        if self.origin != (0, 0):
-            parts.append(f"origin={self.origin}")
+    def __repr__(self) -> str:
         body = ", ".join(
             f"({m},{n})={v}" for (m, n), v in sorted(self.entries.items())
         )
-        return f"Spectrum2D({', '.join(parts)}, {{{body}}})"
+        return f"Spectrum2D(order={self.order}, {{{body}}})"
 
 
 def make_spectrum(
     order: int,
     entries: Iterable[tuple[int, int, CoeffLike]] = (),
-    origin: tuple[Union[CoeffLike, float], Union[CoeffLike, float]] = (0, 0),
 ) -> Spectrum2D:
     """Build a canonical sparse spectrum from (m, n, coefficient) triples.
 
     Rejects duplicate keys and entries beyond the triangle; drops zeros.
     """
-    if order < 0:
-        raise DtmError(f"order must be non-negative, got {order}")
     table: dict[tuple[int, int], Fraction] = {}
     seen: set[tuple[int, int]] = set()
     for m, n, raw in entries:
@@ -153,7 +135,7 @@ def make_spectrum(
         value = as_coeff(raw)
         if value != 0:
             table[(m, n)] = value
-    return Spectrum2D(order, (_origin_coeff(origin[0]), _origin_coeff(origin[1])), table)
+    return Spectrum2D(order, entries=table)
 
 
 def truncate(s: Spectrum2D, new_order: int) -> Spectrum2D:
@@ -163,22 +145,14 @@ def truncate(s: Spectrum2D, new_order: int) -> Spectrum2D:
             f"truncation order {new_order} outside [0, {s.order}]"
         )
     kept = {k: v for k, v in s.entries.items() if k[0] + k[1] <= new_order}
-    return Spectrum2D(new_order, s.origin, kept)
-
-
-def _origin_json(value: Fraction) -> Union[float, str]:
-    """A float when one represents the origin exactly, else a "p/q" string."""
-    as_float = to_float(*value.as_integer_ratio())
-    if math.isfinite(as_float) and Fraction(as_float) == value:
-        return as_float
-    return coeff_str(value)
+    return Spectrum2D(new_order, entries=kept)
 
 
 def spectrum_to_json(s: Spectrum2D) -> dict:
     """JSON-ready dict with entries sorted by (m, n) and exact "p/q" strings."""
     return {
         "order": s.order,
-        "origin": [_origin_json(s.origin[0]), _origin_json(s.origin[1])],
+        "origin": [0.0, 0.0],
         "entries": [
             [m, n, coeff_str(v)] for (m, n), v in sorted(s.entries.items())
         ],
@@ -188,19 +162,20 @@ def spectrum_to_json(s: Spectrum2D) -> dict:
 def spectrum_from_json(data: Mapping) -> Spectrum2D:
     """Inverse of :func:`spectrum_to_json`.
 
-    An origin coordinate is a float, read back as its exact binary rational
-    (the rule :class:`Spectrum2D` applies), or a "p/q" string for a rational
-    no float represents; either way the origin survives the round trip.  The
-    order and the indices must be integers, and each entry a coefficient
-    (:func:`as_coeff`), never a float.
+    The origin may be absent or zero (int or float); any other is refused,
+    since every spectrum is expanded at (0, 0).  The order and the indices
+    must be integers, and each entry a coefficient (:func:`as_coeff`), never
+    a float.
     """
     try:
         order = data["order"]
-        ox, oy = data.get("origin", [0, 0])
+        origin = list(data.get("origin", [0, 0]))
         triples = [(m, n, v) for m, n, v in data["entries"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DtmError(f"malformed spectrum JSON: {exc}") from exc
+    if len(origin) != 2 or not all(type(c) in (int, float) and c == 0 for c in origin):
+        raise DtmError(f"malformed spectrum JSON: origin {origin!r} is not [0, 0]")
     for index in (order, *(i for m, n, _ in triples for i in (m, n))):
         if not isinstance(index, int) or isinstance(index, bool):
             raise DtmError(f"malformed spectrum JSON: {index!r} is not an integer")
-    return make_spectrum(order, triples, (ox, oy))
+    return make_spectrum(order, triples)

@@ -249,7 +249,7 @@ def outer_product(
             value = fm * gs[n]
             if value != 0:
                 table[(m, n)] = value
-    return Spectrum2D(order, (Fraction(0), Fraction(0)), table)
+    return Spectrum2D(order, entries=table)
 
 
 _TERM_KEYS = ("kind", "arg_scale", "amplitude", "sym_amp", "poly_coeffs")

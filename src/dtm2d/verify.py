@@ -84,22 +84,22 @@ def _project(s: Spectrum2D, r: int = 0, q: int = 0) -> list[list[float]]:
     return rows
 
 
-def _row_sums(rows: list[list[float]], dy: float) -> list[float]:
-    """Each projected row summed by Horner over n at offset dy."""
+def _row_sums(rows: list[list[float]], y: float) -> list[float]:
+    """Each projected row summed by Horner over n at y."""
     sums: list[float] = []
     for coeffs in rows:
         row = 0.0
         for coeff in coeffs:
-            row = row * dy + coeff
+            row = row * y + coeff
         sums.append(row)
     return sums
 
 
-def _horner(row_sums: list[float], dx: float) -> float:
-    """Horner over m across one y's row sums at offset dx."""
+def _horner(row_sums: list[float], x: float) -> float:
+    """Horner over m across one y's row sums at x."""
     total = 0.0
     for row in row_sums:
-        total = total * dx + row
+        total = total * x + row
     return total
 
 
@@ -115,12 +115,11 @@ def eval_grid(
     every value is bit-identical across runs, grid shapes and call sites.
     """
     rows = _project(s)
-    ox, oy = (to_float(*c.as_integer_ratio()) for c in s.origin)
     values: list[list[float]] = [[] for _ in xs]
     for y in ys:
-        sums = _row_sums(rows, y - oy)
+        sums = _row_sums(rows, y)
         for x, out in zip(xs, values):
-            out.append(_horner(sums, x - ox))
+            out.append(_horner(sums, x))
     return values
 
 
@@ -155,7 +154,6 @@ def boundary_residual(
     if samples < 2:
         raise DtmError(f"need at least 2 samples per edge, got {samples}")
     ts = [i * math.pi / (samples - 1) for i in range(samples)]
-    ox, oy = (to_float(*c.as_integer_ratio()) for c in s.origin)
     projected: dict[tuple[int, int], list[list[float]]] = {}
     sums: dict[tuple[tuple[int, int], float], list[float]] = {}
     out: dict[str, float] = {}
@@ -168,8 +166,8 @@ def boundary_residual(
         points = [(level, t) for t in ts] if axis == "x" else [(t, level) for t in ts]
         for _, y in points:
             if (derivative, y) not in sums:
-                sums[derivative, y] = _row_sums(projected[derivative], y - oy)
-        values = [_horner(sums[derivative, y], x - ox) for x, y in points]
+                sums[derivative, y] = _row_sums(projected[derivative], y)
+        values = [_horner(sums[derivative, y], x) for x, y in points]
         out[cond.edge] = _worst(
             abs(value - trace_value(cond.trace, t)) for t, value in zip(ts, values)
         )

@@ -75,15 +75,14 @@ def per_term_exp(v, a):
             value = a * acc
             if value != 0:
                 u[(m, n)] = value
-    return Spectrum2D(order, v.origin, u)
+    return Spectrum2D(order, entries=u)
 
 
 @st.composite
 def product_operands(draw):
-    """Two operands at a shared order in 0..20 and a shared rational origin,
-    each empty, constant, sparse or dense."""
+    """Two operands at a shared order in 0..20, each empty, constant, sparse
+    or dense."""
     order = draw(st.integers(0, 20))
-    origin = (draw(small_fractions), draw(small_fractions))
     out = []
     for _ in range(2):
         shape = draw(st.sampled_from(("empty", "constant", "sparse", "dense")))
@@ -95,7 +94,7 @@ def product_operands(draw):
             keys = {"empty": [], "constant": [(0, 0)], "dense": triangle_keys(order)}[shape]
         pool = draw(st.lists(nonzero_fractions, min_size=1, max_size=8))
         entries = [(m, n, pool[i % len(pool)]) for i, (m, n) in enumerate(keys)]
-        out.append(make_spectrum(order, entries, origin))
+        out.append(make_spectrum(order, entries))
     return out[0], out[1]
 
 
@@ -130,10 +129,6 @@ class TestAdd:
     def test_order_mismatch_rejected(self):
         with pytest.raises(DtmError, match="order"):
             dt_add(make_spectrum(2), make_spectrum(3))
-
-    def test_origin_mismatch_rejected(self):
-        with pytest.raises(DtmError, match="origin"):
-            dt_add(make_spectrum(2), make_spectrum(2, origin=(1, 0)))
 
 
 class TestScale:
@@ -224,7 +219,7 @@ class TestProduct:
                 if acc != 0:
                     table[(m, n)] = acc
         got = dt_product(v, w)
-        assert got == Spectrum2D(order, v.origin, table)
+        assert got == Spectrum2D(order, entries=table)
         assert list(got.entries) == list(table)
 
 
@@ -373,7 +368,7 @@ class TestVectorSpaceAxioms:
     @given(spectrum_pairs(), small_fractions, small_fractions)
     def test_linearity_axioms(self, pair, a, b):
         u, v = pair
-        zero = Spectrum2D(u.order, u.origin, {})
+        zero = Spectrum2D(u.order)
         assert dt_add(u, v) == dt_add(v, u)
         assert dt_add(u, zero) == u
         assert dt_add(u, dt_scale(-1, u)) == zero

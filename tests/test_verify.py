@@ -73,8 +73,6 @@ class TestEval2d:
 
 def horner_point(s, x, y):
     """Per-point reference: Horner over n within each row, then over m."""
-    dx = x - float(s.origin[0])
-    dy = y - float(s.origin[1])
     rows = [[0.0] * (s.order - m + 1) for m in range(s.order + 1)]
     for (m, n), c in s.entries.items():
         rows[m][n] = float(c)
@@ -82,19 +80,19 @@ def horner_point(s, x, y):
     for m in range(s.order, -1, -1):
         row = 0.0
         for coeff in reversed(rows[m]):
-            row = row * dy + coeff
-        total = total * dx + row
+            row = row * y + coeff
+        total = total * x + row
     return total
 
 
-nonzero_origins = st.fractions(
+nonzero_points = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=12
-).filter(lambda f: f != 0)
+).filter(lambda f: f != 0).map(float)
 
 
 @st.composite
 def half_zero_spectra(draw):
-    """Orders 0..25, nonzero rational origin, about half the entries zero."""
+    """Orders 0..25, about half the entries zero."""
     order = draw(st.integers(0, 25))
     rng = draw(st.randoms(use_true_random=False))
     entries = [
@@ -103,14 +101,14 @@ def half_zero_spectra(draw):
         for n in range(order + 1 - m)
         if rng.random() < 0.5
     ]
-    return make_spectrum(order, entries, (draw(nonzero_origins), draw(nonzero_origins)))
+    return make_spectrum(order, entries)
 
 
 @st.composite
 def parity_sparse_spectra(draw):
     """Orders 0..25 with entries on one (m, n) parity class only, so every
     other row is empty and every other entry of a row is zero; some rows are
-    headed by an entry that rounds to +-0.0.  Origins at 0, 1 or a rational."""
+    headed by an entry that rounds to +-0.0."""
     order = draw(st.integers(0, 25))
     pm, pn = draw(st.integers(0, 1)), draw(st.integers(0, 1))
     rng = draw(st.randoms(use_true_random=False))
@@ -123,8 +121,7 @@ def parity_sparse_spectra(draw):
             else:
                 c = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
             entries.append((m, n, c))
-    origin = st.sampled_from((0, 1)) | nonzero_origins
-    return make_spectrum(order, entries, (draw(origin), draw(origin)))
+    return make_spectrum(order, entries)
 
 
 class TestEvalGrid:
@@ -133,21 +130,14 @@ class TestEvalGrid:
         s = make_spectrum(0, [(0, 0, sign * 10**400)])
         assert eval_grid(s, [0.0], [0.0]) == [[sign * math.inf]]
 
-    def test_origin_past_float_range_is_not_finite(self):
-        # the origin reads as inf, so every offset from it does; no OverflowError
-        s = make_spectrum(2, [(0, 0, 1), (1, 0, 1)], origin=(Fraction(10**400), 0))
-        zero = BoundarySpec(tuple(EdgeCondition(e, "dirichlet", FuncSpec()) for e in EDGE_NAMES))
-        values = [*eval_grid(s, [0.0], [0.0, 1.0])[0], eval2d(s, 1.0, 2.0),
-                  *boundary_residual(s, zero, 5).values()]
-        assert not any(map(math.isfinite, values))
-
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_bit_identical_to_per_point_horner(self, data):
         s = data.draw(half_zero_spectra())
-        points = st.lists(st.floats(0.0, math.pi), max_size=4)
-        xs = data.draw(st.permutations([0.0, math.pi] + data.draw(points)))
-        ys = data.draw(st.permutations([0.0, math.pi] + data.draw(points)))
+        # negative points too: x, y < 0 as well as the square [0, pi]
+        points = st.lists(st.floats(-3.0, math.pi + 3.0), max_size=4)
+        xs = data.draw(st.permutations([-0.75, 0.0, math.pi] + data.draw(points)))
+        ys = data.draw(st.permutations([-0.75, 0.0, math.pi] + data.draw(points)))
         values = eval_grid(s, xs, ys)
         assert len(values) == len(xs)
         for x, row in zip(xs, values):
@@ -161,10 +151,9 @@ class TestEvalGrid:
     @given(st.data())
     def test_parity_sparse_bit_identical_to_per_point_horner(self, data):
         s = data.draw(parity_sparse_spectra())
-        ox, oy = float(s.origin[0]), float(s.origin[1])
-        # offsets below, at and above the origin: dx, dy < 0, == 0 and > 0
-        xs = [ox - 0.75, ox, ox + 0.5, 0.0]
-        ys = [oy - 0.75, oy, oy + 0.5, math.pi]
+        # points below, at and above the origin: x, y < 0, == 0 and > 0
+        xs = [-0.75, -0.0, 0.0, 0.5, math.pi, data.draw(nonzero_points)]
+        ys = [-0.75, -0.0, 0.0, 0.5, math.pi, data.draw(nonzero_points)]
         for x, row in zip(xs, eval_grid(s, xs, ys)):
             for y, value in zip(ys, row):
                 expected = horner_point(s, x, y)
@@ -172,9 +161,9 @@ class TestEvalGrid:
                 assert math.copysign(1.0, value) == math.copysign(1.0, expected)
 
     def test_negative_zero_head_keeps_its_sign(self):
-        # the one entry rounds to -0.0; only dx < 0 and dy < 0 carry the sign
-        s = make_spectrum(3, [(0, 0, Fraction(-1, 10**400))], origin=(1, 1))
-        pts = (0.0, 1.0, 2.0)
+        # the one entry rounds to -0.0; only x < 0 and y < 0 carry the sign
+        s = make_spectrum(3, [(0, 0, Fraction(-1, 10**400))])
+        pts = (-1.0, 0.0, 1.0)
         values = eval_grid(s, pts, pts)
         signs = [[math.copysign(1.0, v) for v in row] for row in values]
         assert signs == [[-1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
@@ -197,7 +186,7 @@ def edgewise_boundary_residual(s, bc, samples):
         if cond.kind == "dirichlet":
             series = s
         elif s.order == 0:
-            series = make_spectrum(0, origin=s.origin)
+            series = make_spectrum(0)
         else:
             series = dt_derivative(s, 1, 0) if axis == "x" else dt_derivative(s, 0, 1)
         if axis == "x":
@@ -302,9 +291,7 @@ class TestBoundaryResidual:
             for n in range(order + 1 - m)
             if rng.random() < 0.6
         ]
-        origin = data.draw(st.sampled_from([(0, 0), (1, 0)]) | st.tuples(
-            nonzero_origins, nonzero_origins))
-        s = make_spectrum(order, entries, origin)
+        s = make_spectrum(order, entries)
         traces = st.builds(
             lambda kind, c, a: FuncSpec(kind=kind, arg_scale=c, amplitude=a),
             st.sampled_from(("sin", "cos", "sinh", "cosh", "zero")),
