@@ -709,22 +709,16 @@ def _working_order(bc: BoundarySpec, order: int) -> int:
     return working
 
 
-def solve_model(
-    bc: BoundarySpec,
-    order: int,
-    *,
-    model_id: str = "custom",
-    origin_value: Optional[CoeffLike] = None,
-    reference: Optional[verify.ReferenceSolution] = None,
-    grid: int = 21,
-    boundary_samples: int = 41,
-) -> ModelReport:
-    """Seed, infer, propagate and verify one boundary-value model.
+def _seed(bc, order, origin_value=None, reference=None) -> tuple[CauchySeed, InferredLayer]:
+    """The seed stage: the CauchySeed at the working order W, both layers of
+    length W + 1, and the InferredLayer with every note of the stage as its
+    ``warning``.  Past its own check, ``order`` is read only through
+    :func:`_working_order`, so every order with the same W gets the same seed.
 
     The seed edge (y=0 or x=0, by marching axis) must have an exact trace;
     the opposite edge closes the problem through :func:`infer_missing_seed`.
-    Every constant of the data must have a finite float, or
-    :func:`_check_float_range` raises first; adjacent Dirichlet traces must
+    Every constant of the data and of ``reference`` must have a finite float,
+    or :func:`_check_float_range` raises first; adjacent Dirichlet traces must
     agree at their shared corner, or :func:`_check_corners` raises before
     inference.
     ``origin_value`` pins u at the expansion origin when the closure leaves
@@ -733,13 +727,9 @@ def solve_model(
     The first-order entry it leaves undetermined, U(1, 0) or U(0, 1), is the
     constant term of the Neumann trace on the edge through the origin across
     the marching axis; without one it stays 0 and the warning says so.
-    Inference runs at :func:`_working_order` so that closure series are
-    resolved; both seed layers are then cut to ``order`` and only that
-    triangle is marched.  A ``reference`` closed form is compared on the
-    ``grid`` x ``grid`` uniform grid (:func:`verify.compare_closed_form`).
     """
-    if order < 0:
-        raise DtmError(f"order must be non-negative, got {order}")
+    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
+        raise DtmError(f"order must be a non-negative integer, got {order!r}")
     _check_float_range(bc, reference)
     axis = _choose_axis(bc)
     seed_edge = "y=0" if axis == MARCH_IN_N else "x=0"
@@ -780,33 +770,46 @@ def solve_model(
         else:
             entry = "U(1,0)" if axis == MARCH_IN_N else "U(0,1)"
             notes.append(f"{entry} set to 0: {cross.edge} has no exact Neumann trace")
+    layers = (known, unknown) if known_index == 0 else (unknown, known)
+    return CauchySeed(axis, working, *layers), replace(inferred, warning="; ".join(notes) or None)
 
+
+def _report(bc, seeded, order, model_id, reference, grid, boundary_samples) -> ModelReport:
+    """The report stage: march the :func:`_seed` result for ``bc`` to
+    ``order``, at most its working order, and verify the spectrum: the PDE
+    residual, each edge at ``boundary_samples`` points, and a ``reference``
+    closed form on the ``grid`` x ``grid`` uniform grid."""
+    seed, inferred = seeded
     # The recurrence keeps the total degree m + n, so entries up to the order
     # need only the first order + 1 entries of each seed layer.
-    layers = (known, unknown) if known_index == 0 else (unknown, known)
-    spectrum = propagate(CauchySeed(axis, order, *(tuple(x[: order + 1]) for x in layers)))
-
-    if order >= 2:
-        pde_residual = residual_laplacian(spectrum)
-    else:
-        pde_residual = Spectrum2D(0)
-    residuals = verify.boundary_residual(spectrum, bc, boundary_samples)
-    closed_form = None
-    if reference is not None:
-        closed_form = verify.compare_closed_form(spectrum, reference, grid)
+    layers = (layer[: order + 1] for layer in (seed.layer0, seed.layer1))
+    spectrum = propagate(CauchySeed(seed.axis, order, *layers))
     return ModelReport(
-        model=model_id,
-        order=order,
-        spectrum=spectrum,
-        pde_residual_spectrum=pde_residual,
-        boundary_residuals=residuals,
-        closed_form_error=closed_form,
-        inference_method=inferred.method,
-        inference_residual=inferred.residual,
-        warning="; ".join(notes) or None,
-        working_order=working,
-        size=len(spectrum.entries),
+        model=model_id, order=order, spectrum=spectrum,
+        pde_residual_spectrum=residual_laplacian(spectrum) if order >= 2 else Spectrum2D(0),
+        boundary_residuals=verify.boundary_residual(spectrum, bc, boundary_samples),
+        closed_form_error=None if reference is None else verify.compare_closed_form(
+            spectrum, reference, grid),
+        inference_method=inferred.method, inference_residual=inferred.residual,
+        warning=inferred.warning, working_order=seed.order, size=len(spectrum.entries),
     )
+
+
+def solve_model(
+    bc: BoundarySpec,
+    order: int,
+    *,
+    model_id: str = "custom",
+    origin_value: Optional[CoeffLike] = None,
+    reference: Optional[verify.ReferenceSolution] = None,
+    grid: int = 21,
+    boundary_samples: int = 41,
+) -> ModelReport:
+    """Solve one model in two stages: :func:`_seed` infers both seed layers at
+    the working order and makes every refusal of the data; :func:`_report`
+    marches them to ``order`` and verifies the spectrum."""
+    seeded = _seed(bc, order, origin_value, reference)
+    return _report(bc, seeded, order, model_id, reference, grid, boundary_samples)
 
 
 def _edge_trace(reference: verify.ReferenceSolution, edge: str, kind: str) -> FuncSpec:

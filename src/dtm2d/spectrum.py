@@ -120,11 +120,16 @@ def make_spectrum(
 ) -> Spectrum2D:
     """Build a canonical sparse spectrum from (m, n, coefficient) triples.
 
-    Rejects duplicate keys and entries beyond the triangle; drops zeros.
+    Rejects a bad order (as :class:`Spectrum2D` does), an index that is a
+    bool, not an integer or negative, duplicate keys and entries beyond the
+    triangle; drops zeros.
     """
+    Spectrum2D(order)  # refuses a bad order before any index is compared with it
     table: dict[tuple[int, int], Fraction] = {}
     seen: set[tuple[int, int]] = set()
     for m, n, raw in entries:
+        if any(isinstance(i, bool) or not isinstance(i, int) for i in (m, n)):
+            raise DtmError(f"index ({m!r},{n!r}) is not a pair of integers")
         if m < 0 or n < 0:
             raise DtmError(f"negative index ({m},{n})")
         if m + n > order:
@@ -164,8 +169,8 @@ def spectrum_from_json(data: Mapping) -> Spectrum2D:
 
     The origin may be absent or zero (int or float); any other is refused,
     since every spectrum is expanded at (0, 0).  The order and the indices
-    must be integers, and each entry a coefficient (:func:`as_coeff`), never
-    a float.
+    are checked by :func:`make_spectrum`, and each entry must be a
+    coefficient (:func:`as_coeff`), never a float.
     """
     try:
         order = data["order"]
@@ -175,7 +180,4 @@ def spectrum_from_json(data: Mapping) -> Spectrum2D:
         raise DtmError(f"malformed spectrum JSON: {exc}") from exc
     if len(origin) != 2 or not all(type(c) in (int, float) and c == 0 for c in origin):
         raise DtmError(f"malformed spectrum JSON: origin {origin!r} is not [0, 0]")
-    for index in (order, *(i for m, n, _ in triples for i in (m, n))):
-        if not isinstance(index, int) or isinstance(index, bool):
-            raise DtmError(f"malformed spectrum JSON: {index!r} is not an integer")
     return make_spectrum(order, triples)

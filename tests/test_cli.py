@@ -1,15 +1,31 @@
 """CLI behavior: flags, config files, output formats, exit codes."""
 
+import io
 import json
 import math
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dtm2d.cli import ConfigError, RunConfig, _row, _summary, build_parser, main, parse_config
-from dtm2d.solver import MAX_WORKING_ORDER, model_catalog, solve_example
+from dtm2d.cli import (
+    FORMATS,
+    ConfigError,
+    RunConfig,
+    _row,
+    _summary,
+    build_parser,
+    main,
+    parse_config,
+)
+from dtm2d.solver import EDGES, MAX_WORKING_ORDER, model_catalog, solve_example
+from dtm2d.taylor import TOKEN_KINDS
 
 from conftest import (
     LEGACY_TOKEN_NAMES,
@@ -177,6 +193,24 @@ def _y0_config(tmp_path, trace, kind="dirichlet", **extra):
 
 _SIN_1E305 = {"kind": "sin", "arg_scale": 20, "amplitude": "1e305"}
 
+# Random custom configs: a kind per edge, constants up to 1e300 in size,
+# argument scales up to 60 (from 54 no working order resolves them).
+_CONSTANTS = st.builds(lambda sign, digit, exponent: f"{sign}{digit}e{exponent}",
+                       st.sampled_from(("", "-")), st.integers(1, 9), st.integers(-3, 299))
+_SCALES = st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 60), st.integers(1, 4))
+_TERMS = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(("sin", "cos", "sinh", "cosh", "exp", "zero"))},
+        optional={"amplitude": _CONSTANTS, "arg_scale": _SCALES, "sym_amp": st.fixed_dictionaries(
+            {"kind": st.sampled_from(TOKEN_KINDS), "arg_scale": _SCALES})},
+    ),
+    st.fixed_dictionaries({"kind": st.just("polynomial"),
+                           "poly_coeffs": st.lists(_CONSTANTS, min_size=1, max_size=4)}),
+)
+_TRACES = st.one_of(_TERMS, st.lists(_TERMS, min_size=1, max_size=2).map(lambda t: {"terms": t}))
+_BCS = st.fixed_dictionaries({edge: st.fixed_dictionaries(
+    {"kind": st.sampled_from(("dirichlet", "neumann")), "trace": _TRACES}) for edge in EDGES})
+
 
 class TestFailures:
     # Each row: the argv of `dtm solve`, or the _y0_config arguments of its
@@ -209,6 +243,26 @@ class TestFailures:
         assert (code, out) == (status, ""), err
         assert err.startswith(f"error: {message}"), err
         assert "Traceback" not in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(_BCS, st.integers(0, 36), st.sampled_from(("solve", "spectrum")),
+           st.sampled_from(FORMATS))
+    def test_random_config_ends_in_a_status(self, bc, order, command, output_format):
+        # a report or one "error: " line, never a traceback or non-strict JSON
+        def no_constant(token):
+            raise ValueError(f"{token} is not JSON")
+
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            path.write_text(json.dumps({"model": "custom", "order": order, "bc": bc}))
+            with redirect_stdout(out), redirect_stderr(err):
+                status = main([command, "--config", str(path), "--format", output_format])
+        assert status in (0, 1, 2)
+        if not out.getvalue():
+            assert err.getvalue().startswith("error: "), err.getvalue()
+        elif output_format == "json":
+            json.loads(out.getvalue(), parse_constant=no_constant)
 
     def test_reference_past_float_range_exits_2(self, capsys, tmp_path):
         # strict JSON: a non-finite error is the string "nan", not the token

@@ -6,7 +6,7 @@ import json
 import math
 import platform
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -44,6 +44,7 @@ from dtm2d.solver import (
     BC_KINDS,
     MAX_WORKING_ORDER,
     MIN_WORKING_ORDER,
+    ModelReport,
     _check_corners,
     _closure_targets,
     _edge_trace,
@@ -54,6 +55,8 @@ from dtm2d.solver import (
     _match_tables,
     _match_terms,
     _odd_transfer,
+    _report,
+    _seed,
     _term_ks,
     _trace_rounding,
     _working_order,
@@ -1231,6 +1234,16 @@ class TestSolveModel:
         with pytest.raises(DtmError, match="origin_value"):
             solve_model(model.bc, 8, origin_value=1)
 
+    @pytest.mark.parametrize("order", [2.5, True, "3", -1])
+    def test_bad_order_refused_before_inference(self, order, monkeypatch):
+        # 2.5 once ran a whole inference and then raised a bare TypeError
+        def no_inference(*args):
+            raise AssertionError("inference entered")
+
+        monkeypatch.setattr("dtm2d.solver.infer_missing_seed", no_inference)
+        with pytest.raises(DtmError, match="order must be a non-negative integer, got"):
+            solve_model(model_catalog()["example1"].bc, order)
+
     def test_superposition_of_two_separable_solutions(self):
         # u = sinh x cos y + sinh 2x cos 2y: both closures are token-free sums
         bc = BoundarySpec((
@@ -1272,6 +1285,37 @@ class TestSolveModel:
             EdgeCondition("z=0", "dirichlet", FuncSpec(kind="zero"))
         with pytest.raises(DtmError, match="kind"):
             EdgeCondition("x=0", "robin", FuncSpec(kind="zero"))
+
+
+def _report_fields(report):
+    """Every ModelReport field: floats by .hex(), spectra with their key order."""
+    def value(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, Spectrum2D):
+            return v.order, list(v.entries.items())
+        if isinstance(v, dict):
+            return [(k, value(x)) for k, x in v.items()]
+        return v
+    return [(f.name, value(getattr(report, f.name))) for f in fields(ModelReport)]
+
+
+class TestSolveStages:
+    @pytest.mark.parametrize("model", [
+        *(model for _, model in sorted(model_catalog().items())),
+        closed_form_model(
+            "family", "-3/2*sin(3/2x)*sinh(3/2y)+1/3*cosh(2x)*cos(2y)", "neumann", 0),
+    ], ids=lambda model: model.model_id)
+    def test_one_seed_serves_every_order_with_its_working_order(self, model):
+        # every order up to MIN_WORKING_ORDER has that working order at scales
+        # up to 2, so one seed stage serves all of them
+        seeded = _seed(model.bc, MIN_WORKING_ORDER, model.origin_value)
+        assert seeded[0].order == MIN_WORKING_ORDER
+        for order in range(MIN_WORKING_ORDER + 1):
+            report = solve_model(model.bc, order, model_id=model.model_id,
+                                 origin_value=model.origin_value, reference=model.reference)
+            joined = _report(model.bc, seeded, order, model.model_id, model.reference, 21, 41)
+            assert _report_fields(joined) == _report_fields(report)
 
 
 MIXED_FORMS = ("sin(x)*sinh(y)+cos(x)*cosh(y)", "sin(x)*sinh(y)-1/2*cos(2x)*cosh(2y)")

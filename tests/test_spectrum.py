@@ -210,6 +210,7 @@ class TestSerialization:
             '{"order": 2.7, "entries": []}',
             '{"order": 2, "entries": [[1.9, 0, "1/2"]]}',
             '{"order": true, "entries": []}',
+            '{"order": "3", "entries": [[1, 0, "1/2"]]}',
             '{"order": 2, "entries": [[1, 0, 0.1]]}',
             # every spectrum is expanded at (0, 0): any other origin is refused
             '{"order": 2, "origin": [1, 0], "entries": []}',
@@ -229,3 +230,7 @@ class TestSerialization:
                 make_spectrum(order, [(1, 0, 1)])
             with pytest.raises(DtmError, match="order"):
                 Spectrum2D(order, entries={(1, 0): Fraction(1)})
+        # make_spectrum is the one index validator: never a bool or a float
+        for entry in ((0.5, 0, 1), (True, 1, 2)):
+            with pytest.raises(DtmError, match="not a pair of integers"):
+                make_spectrum(2, [entry])
