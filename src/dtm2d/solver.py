@@ -151,8 +151,7 @@ class CauchySeed:
     def __post_init__(self) -> None:
         if self.axis not in (MARCH_IN_N, MARCH_IN_M):
             raise DtmError(f"unknown marching axis {self.axis!r}")
-        if self.order < 0:
-            raise DtmError(f"order must be non-negative, got {self.order}")
+        Spectrum2D(self.order)  # refuses a bool, non-integer or negative order
         for name, layer in (("layer0", self.layer0), ("layer1", self.layer1)):
             if len(layer) != self.order + 1:
                 raise DtmError(
@@ -728,8 +727,7 @@ def _seed(bc, order, origin_value=None, reference=None) -> tuple[CauchySeed, Inf
     constant term of the Neumann trace on the edge through the origin across
     the marching axis; without one it stays 0 and the warning says so.
     """
-    if isinstance(order, bool) or not isinstance(order, int) or order < 0:
-        raise DtmError(f"order must be a non-negative integer, got {order!r}")
+    Spectrum2D(order)  # refuses a bool, non-integer or negative order
     _check_float_range(bc, reference)
     axis = _choose_axis(bc)
     seed_edge = "y=0" if axis == MARCH_IN_N else "x=0"
@@ -807,7 +805,11 @@ def solve_model(
 ) -> ModelReport:
     """Solve one model in two stages: :func:`_seed` infers both seed layers at
     the working order and makes every refusal of the data; :func:`_report`
-    marches them to ``order`` and verifies the spectrum."""
+    marches them to ``order`` and verifies the spectrum.  A ``grid`` or
+    ``boundary_samples`` that is a bool or not an integer is refused first."""
+    for name, count in (("grid", grid), ("boundary_samples", boundary_samples)):
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise DtmError(f"{name} must be an integer, got {count!r}")
     seeded = _seed(bc, order, origin_value, reference)
     return _report(bc, seeded, order, model_id, reference, grid, boundary_samples)
 

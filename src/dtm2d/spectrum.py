@@ -71,12 +71,14 @@ class Spectrum2D:
     private to the instance and must not be mutated after construction.
     The expansion point is always (0, 0): ``origin`` stays the second field so
     that ``Spectrum2D(order, (0, 0), entries)`` builds, and any other value is
-    refused.
+    refused.  ``memo`` is not part of the value: :mod:`dtm2d.verify` keeps the
+    float projections and row sums of this spectrum there, freed with it.
     """
 
     order: int
     origin: tuple[CoeffLike, CoeffLike] = (0, 0)
     entries: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.order, bool) or not isinstance(self.order, int) or self.order < 0:

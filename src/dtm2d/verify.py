@@ -55,52 +55,90 @@ class ReferenceSolution:
         ))
 
 
-def _project(s: Spectrum2D, r: int = 0, q: int = 0) -> list[list[float]]:
+def _stride(items: list, exact: bool) -> tuple[list, list]:
+    """A Horner list, highest power first, as (pairs, singles) for :func:`_horner`:
+    if ``exact`` and every odd-offset item is 0.0 or an empty row, its even-offset
+    items, plus its last item if that is at an odd offset; else ``([], items)``."""
+    if not exact or any(items[1::2]):
+        return [], items
+    return items[::2], items[-1:] if len(items) % 2 == 0 else []
+
+
+def _project(s: Spectrum2D, r: int = 0, q: int = 0) -> tuple[list, list]:
     """Float coefficient rows of d^(r+q) s / dx^r dy^q, for :func:`_row_sums`.
 
     Rows run from the highest stored m down to 0, each from its highest
     stored n down to 0 (empty without entries): Horner from 0.0 stays +0.0
     through the trimmed +0.0 slots, so no value or sign of zero changes.  The
-    entry from U(m, n) is (perm(m, r) perm(n, q) U.numerator) / U.denominator,
-    the pair read once from U and the perm factors skipped when r = q = 0:
-    one :func:`to_float` of the differentiated entry, without building a
-    derivative spectrum.
+    entry from U(m, n) is one :func:`to_float` of (perm(m, r) perm(n, q)
+    U.numerator) / U.denominator, without building a derivative spectrum.
+    If the rows hold one nonzero float per entry written, :func:`_stride`
+    drops the +0.0 slots of each row whose stored n all share its top one's
+    parity, and the empty rows when every nonempty row's m shares the top
+    one's parity; every other row keeps its slots.
     """
-    top = [-1] * (s.order + 1)  # highest stored n per derivative row
+    top = [-1] * (s.order + 1)  # highest stored n per row of s, then of the derivative
     for m, n in s.entries:
-        if m >= r and n - q > top[m - r]:
-            top[m - r] = n - q
+        if n > top[m]:
+            top[m] = n
+    top = [t - q if t >= q else -1 for t in top[r:]]
     while top and top[-1] < 0:
         top.pop()
     rows: list[list[float]] = [[0.0] * (t + 1) for t in top]
-    for (m, n), c in s.entries.items():
-        if m >= r and n >= q:
-            i, j = m - r, n - q
-            num, den = c.as_integer_ratio()
-            if r or q:
-                num *= math.perm(m, r) * math.perm(n, q)
-            rows[i][top[i] - j] = to_float(num, den)
+    written = len(s.entries)
+    if r or q:
+        perm_m, perm_n = ([math.perm(k, d) for k in range(s.order + 1)] for d in (r, q))
+        for (m, n), c in s.entries.items():
+            if m >= r and n >= q:
+                num, den = c.as_integer_ratio()
+                rows[m - r][top[m - r] - n + q] = to_float(num * perm_m[m] * perm_n[n], den)
+            else:
+                written -= 1
+    else:
+        for (m, n), c in s.entries.items():
+            rows[m][top[m] - n] = to_float(*c.as_integer_ratio())
+    exact = sum(len(row) - row.count(0.0) for row in rows) == written
     rows.reverse()
-    return rows
+    pairs, singles = _stride(rows, exact)
+    return [_stride(row, exact) for row in pairs], [_stride(row, exact) for row in singles]
 
 
-def _row_sums(rows: list[list[float]], y: float) -> list[float]:
-    """Each projected row summed by Horner over n at y."""
-    sums: list[float] = []
-    for coeffs in rows:
-        row = 0.0
-        for coeff in coeffs:
-            row = row * y + coeff
-        sums.append(row)
-    return sums
+def _horner(series: tuple[list[float], list[float]], x: float) -> float:
+    """Horner at x over (pairs, singles): a stride-2 step ``acc * x * x + c``
+    per pair, then a step ``acc * x + c`` per single.
+
+    A stride-2 step stands for the two steps ``(acc * x + 0.0) * x + c``
+    over a +0.0 slot.  They differ only if ``acc * x`` is -0.0 (so x is
+    finite), and then both give c for c nonzero and +0.0 for c = +0.0;
+    with every stored entry a nonzero float, no row sum is -0.0.  So the
+    stride changes no value and no sign of zero.  A list ending at an odd
+    offset still takes its last step, ``acc * x + 0.0``.
+    """
+    pairs, singles = series
+    acc = 0.0
+    for coeff in pairs:
+        acc = acc * x * x + coeff
+    for coeff in singles:
+        acc = acc * x + coeff
+    return acc
 
 
-def _horner(row_sums: list[float], x: float) -> float:
-    """Horner over m across one y's row sums at x."""
-    total = 0.0
-    for row in row_sums:
-        total = total * x + row
-    return total
+def _row_sums(projection: tuple[list, list], y: float) -> tuple[list[float], list[float]]:
+    """Each projected row summed by :func:`_horner` over n at y, split as the rows are."""
+    pairs, singles = projection
+    return [_horner(row, y) for row in pairs], [_horner(row, y) for row in singles]
+
+
+def _shared_sums(s: Spectrum2D, r: int, q: int, y: float) -> tuple[list[float], list[float]]:
+    """:func:`_row_sums` of s's (r, q) projection at y, each projection and
+    each pass run once per spectrum, whichever check asks first, and kept in
+    ``s.memo`` (keyed by y's bits, so -0.0 and 0.0 stay apart)."""
+    key = r, q, y.hex()
+    if key not in s.memo:
+        if (r, q) not in s.memo:
+            s.memo[r, q] = _project(s, r, q)
+        s.memo[key] = _row_sums(s.memo[r, q], y)
+    return s.memo[key]
 
 
 def eval_grid(
@@ -111,16 +149,13 @@ def eval_grid(
     Returns ``values`` with ``values[i][j]`` the series at ``(xs[i], ys[j])``.
     The stored entries are projected to trimmed float rows once.  For each y,
     every row m is summed by Horner over n once; for each x, Horner over m
-    then runs across those row values.  This summation order is fixed, so
-    every value is bit-identical across runs, grid shapes and call sites.
+    then runs across those row values, both with the stride-2 steps of
+    :func:`_horner`.  This summation order is fixed, so every value is
+    bit-identical across runs, grid shapes and call sites.
     """
-    rows = _project(s)
-    values: list[list[float]] = [[] for _ in xs]
-    for y in ys:
-        sums = _row_sums(rows, y)
-        for x, out in zip(xs, values):
-            out.append(_horner(sums, x))
-    return values
+    projection = _project(s)
+    sums = [_row_sums(projection, y) for y in ys]
+    return [[_horner(row, x) for row in sums] for x in xs]
 
 
 def eval2d(s: Spectrum2D, x: float, y: float) -> float:
@@ -146,28 +181,25 @@ def boundary_residual(
 
     Dirichlet edges compare the series itself; Neumann edges compare the
     exact coordinate derivative (no finite differencing).  Each distinct
-    series is projected to floats once: the spectrum once for all Dirichlet
-    edges, each Neumann axis's derivative once; its row sums are formed once
-    per distinct y, shared by all edges (values as :func:`eval_grid`'s, bit
-    for bit).  ``samples`` equally spaced points per edge, endpoints included.
+    series is projected to floats once per spectrum: the spectrum for all
+    Dirichlet edges, each Neumann axis's derivative once; its row sums are
+    formed once per spectrum and distinct y, shared by all edges and by
+    :func:`compare_closed_form` (values as :func:`eval_grid`'s, bit for
+    bit).  ``samples`` equally spaced points per edge, endpoints included.
     """
     if samples < 2:
         raise DtmError(f"need at least 2 samples per edge, got {samples}")
     ts = [i * math.pi / (samples - 1) for i in range(samples)]
-    projected: dict[tuple[int, int], list[list[float]]] = {}
-    sums: dict[tuple[tuple[int, int], float], list[float]] = {}
     out: dict[str, float] = {}
     for cond in bc.conditions:
         axis, at = cond.edge.split("=")
         level = 0.0 if at == "0" else math.pi
-        derivative = (0, 0) if cond.kind == "dirichlet" else (1, 0) if axis == "x" else (0, 1)
-        if derivative not in projected:
-            projected[derivative] = _project(s, *derivative)
-        points = [(level, t) for t in ts] if axis == "x" else [(t, level) for t in ts]
-        for _, y in points:
-            if (derivative, y) not in sums:
-                sums[derivative, y] = _row_sums(projected[derivative], y)
-        values = [_horner(sums[derivative, y], x) for x, y in points]
+        r, q = (0, 0) if cond.kind == "dirichlet" else (1, 0) if axis == "x" else (0, 1)
+        if axis == "x":
+            values = [_horner(_shared_sums(s, r, q, t), level) for t in ts]
+        else:
+            sums = _shared_sums(s, r, q, level)
+            values = [_horner(sums, t) for t in ts]
         out[cond.edge] = _worst(
             abs(value - trace_value(cond.trace, t)) for t, value in zip(ts, values)
         )
@@ -177,11 +209,15 @@ def boundary_residual(
 def compare_closed_form(s: Spectrum2D, ref: ReferenceSolution, grid: int) -> float:
     """Max-abs error of the truncated series against the closed form on the
     ``grid`` x ``grid`` uniform grid of the square, endpoints included; each
-    term is evaluated once per x and once per y, multiplied and summed."""
+    term is evaluated once per x and once per y, multiplied and summed.  The
+    series values are :func:`eval_grid`'s, bit for bit, from the row sums
+    shared with :func:`boundary_residual` (by default the 21 grid y are 21
+    of the 41 edge samples)."""
     if grid < 2:
         raise DtmError(f"uniform grid needs k >= 2, got {grid}")
     points = [i * math.pi / (grid - 1) for i in range(grid)]
-    values = eval_grid(s, points, points)
+    sums = [_shared_sums(s, 0, 0, y) for y in points]
+    values = [[_horner(row, x) for row in sums] for x in points]
     exact = [[0.0] * grid for _ in points]
     for a, f, g in ref.terms:
         ys = [trace_value(g, y) for y in points]

@@ -219,6 +219,12 @@ class TestPropagate:
         with pytest.raises(DtmError):
             CauchySeed(MARCH_IN_N, 2, (0, 0), (0, 0, 0))
 
+    @pytest.mark.parametrize("order", [True, 1.0, "1", -1])
+    def test_bad_order_refused(self, order):
+        # True and 1.0 once built a seed that propagate then failed on
+        with pytest.raises(DtmError, match="order must be a non-negative integer, got"):
+            CauchySeed(MARCH_IN_N, order, (0, 1), (1, 0))
+
     @settings(max_examples=80, deadline=None)
     @given(random_seeds())
     def test_recurrence_identity(self, seed):
@@ -1243,6 +1249,20 @@ class TestSolveModel:
         monkeypatch.setattr("dtm2d.solver.infer_missing_seed", no_inference)
         with pytest.raises(DtmError, match="order must be a non-negative integer, got"):
             solve_model(model_catalog()["example1"].bc, order)
+
+    @pytest.mark.parametrize("option,value", [
+        ("grid", 3.0), ("grid", "21"), ("grid", True),
+        ("boundary_samples", 5.0), ("boundary_samples", False),
+    ])
+    def test_bad_grid_or_samples_refused_before_inference(self, option, value, monkeypatch):
+        # 3.0, "21" and 5.0 once ran the seed and the march, then raised TypeError
+        def no_inference(*args):
+            raise AssertionError("inference entered")
+
+        monkeypatch.setattr("dtm2d.solver.infer_missing_seed", no_inference)
+        model = model_catalog()["example1"]
+        with pytest.raises(DtmError, match=f"{option} must be an integer, got {value!r}"):
+            solve_model(model.bc, 8, reference=model.reference, **{option: value})
 
     def test_superposition_of_two_separable_solutions(self):
         # u = sinh x cos y + sinh 2x cos 2y: both closures are token-free sums

@@ -17,6 +17,7 @@ from dtm2d import (
     FuncSpec,
     MARCH_IN_N,
     ReferenceSolution,
+    Spectrum2D,
     boundary_residual,
     compare_closed_form,
     dt_add,
@@ -72,18 +73,36 @@ class TestEval2d:
 
 
 def horner_point(s, x, y):
-    """Per-point reference: Horner over n within each row, then over m."""
-    rows = [[0.0] * (s.order - m + 1) for m in range(s.order + 1)]
+    """Per-point reference: Horner over n within each row from its highest
+    stored n, then over m from the highest stored m, every slot one step."""
+    rows = {}
     for (m, n), c in s.entries.items():
-        rows[m][n] = float(c)
+        rows.setdefault(m, {})[n] = float(c)
     total = 0.0
-    for m in range(s.order, -1, -1):
-        row = 0.0
-        for coeff in reversed(rows[m]):
-            row = row * y + coeff
+    for m in range(max(rows, default=-1), -1, -1):
+        coeffs, row = rows.get(m, {}), 0.0
+        for n in range(max(coeffs, default=-1), -1, -1):
+            row = row * y + coeffs.get(n, 0.0)
         total = total * x + row
     return total
 
+
+def same(a, b):
+    """Bit-identical as a report shows it: equal with the same sign of zero,
+    or both NaN."""
+    if a != a or b != b:
+        return a != a and b != b
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def fresh(s):
+    """The same spectrum with an empty memo, so every projection and row
+    sum is built again."""
+    return Spectrum2D(s.order, entries=dict(s.entries))
+
+
+# the points where a stride step could first differ from two dense steps
+SPECIAL_POINTS = [-math.inf, math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324]
 
 nonzero_points = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=12
@@ -105,21 +124,27 @@ def half_zero_spectra(draw):
 
 
 @st.composite
-def parity_sparse_spectra(draw):
-    """Orders 0..25 with entries on one (m, n) parity class only, so every
-    other row is empty and every other entry of a row is zero; some rows are
-    headed by an entry that rounds to +-0.0."""
-    order = draw(st.integers(0, 25))
+def parity_sparse_spectra(draw, max_order=25):
+    """Orders 0..max_order with entries on one (m, n) parity class only, so
+    every other row is empty and every other entry of a row is zero; in some
+    spectra entries that round to +-0.0 (+-10^-400) sit at heads, interior
+    slots and row tails, and some entries are +-1, so that sums cancel."""
+    order = draw(st.integers(0, max_order))
     pm, pn = draw(st.integers(0, 1)), draw(st.integers(0, 1))
     rng = draw(st.randoms(use_true_random=False))
+    tiny = draw(st.sampled_from((0.0, 0.15, 0.5)))
     entries = []
     for m in range(pm, order + 1, 2):
-        ns = [n for n in range(pn, order + 1 - m, 2) if rng.random() < 0.7]
-        for n in ns:
-            if n == ns[-1] and rng.random() < 0.4:
+        for n in range(pn, order + 1 - m, 2):
+            draw_kind = rng.random()
+            if draw_kind < tiny:
                 c = Fraction(rng.choice((-1, 1)), 10**400)
-            else:
+            elif draw_kind < tiny + 0.15:
+                c = Fraction(rng.choice((-1, 1)))
+            elif draw_kind < 0.85:
                 c = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            else:
+                continue
             entries.append((m, n, c))
     return make_spectrum(order, entries)
 
@@ -136,29 +161,28 @@ class TestEvalGrid:
         s = data.draw(half_zero_spectra())
         # negative points too: x, y < 0 as well as the square [0, pi]
         points = st.lists(st.floats(-3.0, math.pi + 3.0), max_size=4)
-        xs = data.draw(st.permutations([-0.75, 0.0, math.pi] + data.draw(points)))
-        ys = data.draw(st.permutations([-0.75, 0.0, math.pi] + data.draw(points)))
+        special = st.lists(st.sampled_from(SPECIAL_POINTS), max_size=2)
+        xs = data.draw(st.permutations([-0.75, 0.0, math.pi] + data.draw(points) + data.draw(special)))
+        ys = data.draw(st.permutations([-0.75, 0.0, math.pi] + data.draw(points) + data.draw(special)))
         values = eval_grid(s, xs, ys)
         assert len(values) == len(xs)
         for x, row in zip(xs, values):
             assert len(row) == len(ys)
             for y, value in zip(ys, row):
-                expected = horner_point(s, x, y)
-                assert value == expected
-                assert math.copysign(1.0, value) == math.copysign(1.0, expected)
+                assert same(value, horner_point(s, x, y))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_parity_sparse_bit_identical_to_per_point_horner(self, data):
         s = data.draw(parity_sparse_spectra())
-        # points below, at and above the origin: x, y < 0, == 0 and > 0
-        xs = [-0.75, -0.0, 0.0, 0.5, math.pi, data.draw(nonzero_points)]
-        ys = [-0.75, -0.0, 0.0, 0.5, math.pi, data.draw(nonzero_points)]
+        # points below, at and above the origin, and where a stride step
+        # could differ from two dense steps: +-inf, NaN, +-0.0, +-5e-324
+        points = [-0.75, 0.5, -1.0, 1.0, math.pi, data.draw(nonzero_points)] + SPECIAL_POINTS
+        xs = data.draw(st.permutations(points))
+        ys = data.draw(st.permutations(points))
         for x, row in zip(xs, eval_grid(s, xs, ys)):
             for y, value in zip(ys, row):
-                expected = horner_point(s, x, y)
-                assert value == expected
-                assert math.copysign(1.0, value) == math.copysign(1.0, expected)
+                assert same(value, horner_point(s, x, y))
 
     def test_negative_zero_head_keeps_its_sign(self):
         # the one entry rounds to -0.0; only x < 0 and y < 0 carry the sign
@@ -176,8 +200,9 @@ EDGE_NAMES = ("x=0", "x=pi", "y=0", "y=pi")
 
 
 def edgewise_boundary_residual(s, bc, samples):
-    """Reference: each edge evaluates its own series, a Neumann edge the
-    derivative spectrum built by dt_derivative."""
+    """Reference: each edge evaluates its own series point by point with
+    :func:`horner_point`, a Neumann edge the derivative spectrum built by
+    dt_derivative."""
     ts = [i * math.pi / (samples - 1) for i in range(samples)]
     out = {}
     for cond in bc.conditions:
@@ -189,10 +214,8 @@ def edgewise_boundary_residual(s, bc, samples):
             series = make_spectrum(0)
         else:
             series = dt_derivative(s, 1, 0) if axis == "x" else dt_derivative(s, 0, 1)
-        if axis == "x":
-            values = eval_grid(series, (level,), ts)[0]
-        else:
-            values = [row[0] for row in eval_grid(series, ts, (level,))]
+        points = [(level, t) for t in ts] if axis == "x" else [(t, level) for t in ts]
+        values = [horner_point(series, x, y) for x, y in points]
         worst = 0.0
         for t, value in zip(ts, values):
             worst = max(worst, abs(value - trace_value(cond.trace, t)))
@@ -251,11 +274,14 @@ class TestBoundaryResidual:
             EdgeCondition(edge, kind, FuncSpec(kind="zero"))
             for edge, kind in zip(EDGE_NAMES, kinds)
         ))
-        spectrum = solve_example(3, 20).spectrum
+        spectrum = fresh(solve_example(3, 20).spectrum)
         monkeypatch.setattr(dtm2d.verify, "_project", counting)
         res = boundary_residual(spectrum, bc, 11)
         assert sorted(calls) == expected
         assert sorted(res) == list(EDGE_NAMES)
+        # once per spectrum: a second check projects nothing again
+        assert boundary_residual(spectrum, bc, 11) == res
+        assert sorted(calls) == expected
 
     @pytest.mark.parametrize("samples", [2, 11, 12, 14, 41])
     @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
@@ -272,17 +298,20 @@ class TestBoundaryResidual:
         bc = BoundarySpec(tuple(
             EdgeCondition(edge, kind, FuncSpec(kind="zero")) for edge in EDGE_NAMES
         ))
-        spectrum = solve_example(3, 20).spectrum
+        spectrum = fresh(solve_example(3, 20).spectrum)
         monkeypatch.setattr(dtm2d.verify, "_row_sums", counting)
         boundary_residual(spectrum, bc, samples)
         ts = {i * math.pi / (samples - 1) for i in range(samples)}
         # (k pi) / k != pi for k = 11, 13, ...: the y=pi level is one more y
         expected = len(ts | {0.0, math.pi}) if kind == "dirichlet" else len(ts) + 2
         assert len(calls) == len(set(calls)) == expected
+        boundary_residual(spectrum, bc, samples)
+        assert len(calls) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_bit_identical_to_edgewise_derivative_reference(self, data):
+        # parity-sparse spectra stride the (1, 0) and (0, 1) projections too
         order = data.draw(st.one_of(st.integers(0, 2), st.integers(3, 16)))
         rng = data.draw(st.randoms(use_true_random=False))
         entries = [
@@ -291,7 +320,8 @@ class TestBoundaryResidual:
             for n in range(order + 1 - m)
             if rng.random() < 0.6
         ]
-        s = make_spectrum(order, entries)
+        s = data.draw(st.one_of(st.just(make_spectrum(order, entries)),
+                                parity_sparse_spectra(max_order=16)))
         traces = st.builds(
             lambda kind, c, a: FuncSpec(kind=kind, arg_scale=c, amplitude=a),
             st.sampled_from(("sin", "cos", "sinh", "cosh", "zero")),
@@ -305,12 +335,60 @@ class TestBoundaryResidual:
         samples = data.draw(st.integers(2, 9))
         got = boundary_residual(s, bc, samples)
         expected = edgewise_boundary_residual(s, bc, samples)
-        assert list(got.items()) == list(expected.items())
+        assert list(got) == list(expected)
+        assert all(same(got[edge], expected[edge]) for edge in got)
 
     def test_samples_validation(self):
         bc = model_catalog()["example1"].bc
         with pytest.raises(DtmError):
             boundary_residual(make_spectrum(4), bc, 1)
+
+
+class TestSharedEvaluation:
+    @pytest.mark.parametrize("model_id,order,projections,passes", [
+        # the 21 grid y are 21 of the 41 edge samples: one (0, 0) projection
+        (1, 36, [(0, 0)], 41),
+        # Neumann: (1, 0) at the 41 samples, (0, 1) at y = 0 and pi, (0, 0)
+        # at the 21 grid y
+        (3, 60, [(0, 0), (0, 1), (1, 0)], 21 + 41 + 2),
+    ])
+    def test_grid_and_edges_share_projection_and_row_sums(
+        self, monkeypatch, model_id, order, projections, passes
+    ):
+        import dtm2d.verify
+
+        project, row_sums = dtm2d.verify._project, dtm2d.verify._row_sums
+        projected, summed = [], []
+
+        def counting_project(s, r=0, q=0):
+            projected.append((r, q))
+            return project(s, r, q)
+
+        def counting_row_sums(projection, y):
+            summed.append(y)
+            return row_sums(projection, y)
+
+        monkeypatch.setattr(dtm2d.verify, "_project", counting_project)
+        monkeypatch.setattr(dtm2d.verify, "_row_sums", counting_row_sums)
+        report = solve_example(model_id, order)
+        assert sorted(projected) == projections
+        assert len(summed) == passes
+        assert report.closed_form_error < 1e-8
+
+    def test_memo_is_not_part_of_the_value(self):
+        s = solve_example(1, 12).spectrum
+        assert s.memo
+        copy = fresh(s)
+        assert copy == s and not copy.memo and repr(copy) == repr(s)
+
+    def test_signed_zero_points_are_summed_apart(self):
+        # y^2 - 10^-400: its row sum is +0.0 at y = 0.0 and -0.0 at y = -0.0
+        from dtm2d.verify import _horner, _shared_sums
+
+        s = make_spectrum(2, [(0, 0, Fraction(-1, 10**400)), (0, 2, 1)])
+        values = [_horner(_shared_sums(s, 0, 0, y), -1.0) for y in (0.0, -0.0)]
+        assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0]
+        assert all(map(same, values, eval_grid(s, [-1.0], [0.0, -0.0])[0]))
 
 
 class TestCompareClosedForm:
