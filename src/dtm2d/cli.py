@@ -57,7 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation: model, order, output and verification grid."""
+    """Fully resolved invocation: model, order, output and verification grid
+    (a bad order or grid is refused by :func:`solve_model`, before any work)."""
 
     model: Model
     order: int
@@ -73,10 +74,6 @@ class RunConfig:
             raise ConfigError(
                 f"unknown format {self.output_format!r}; choose from {FORMATS}"
             )
-        if self.order < 0:
-            raise ConfigError(f"order must be non-negative, got {self.order}")
-        if self.grid < 2:
-            raise ConfigError(f"grid must be at least 2x2, got {self.grid}")
         if self.convergence_orders is not None:
             orders = self.convergence_orders
             if list(orders) != sorted(set(orders)):

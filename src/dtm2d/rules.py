@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .spectrum import CoeffLike, DtmError, Spectrum2D, as_coeff, to_float
+from .spectrum import CoeffLike, DtmError, Spectrum2D, _check_index, as_coeff, to_float
 
 __all__ = [
     "ExpPrefactor",
@@ -103,11 +103,9 @@ def _integer_entries(v: Spectrum2D) -> tuple[int, list[tuple[int, int, int, int]
 
 
 def dt_derivative(v: Spectrum2D, r: int, s: int) -> Spectrum2D:
-    """Spectrum of the mixed partial d^(r+s) v / dx^r dy^s at order - r - s."""
-    if r < 0 or s < 0:
-        raise DtmError(f"derivative orders must be non-negative, got ({r},{s})")
-    if r + s > v.order:
-        raise DtmError(f"derivative order {r}+{s} exceeds spectrum order {v.order}")
+    """Spectrum of the mixed partial d^(r+s) v / dx^r dy^s at order - r - s;
+    (r, s) is checked as an index of v's triangle."""
+    _check_index(r, s, v.order)
     new_order = v.order - r - s
     table: dict[tuple[int, int], Fraction] = {}
     for (m, n), c in v.entries.items():
@@ -203,20 +201,16 @@ def _exp_zero_base(v: Spectrum2D, a: Fraction) -> Spectrum2D:
 
 def dt_monomial(k: int, h: int, order: int) -> Spectrum2D:
     """Spectrum of x**k * y**h: a single unit entry at (k, h)."""
-    if k < 0 or h < 0:
-        raise DtmError(f"monomial exponents must be non-negative, got ({k},{h})")
-    if k + h > order:
-        raise DtmError(f"monomial degree {k}+{h} exceeds order {order}")
+    Spectrum2D(order)  # refuses a bad order before the index is compared with it
+    _check_index(k, h, order)
     return Spectrum2D(order, entries={(k, h): Fraction(1)})
 
 
 def dt_monomial_exp(k: int, a: CoeffLike, order: int) -> Spectrum2D:
     """Spectrum of x**k * e**(a*y): U(k, n) = a**n / n! for k + n <= order."""
     a = as_coeff(a)
-    if k < 0:
-        raise DtmError(f"monomial exponent must be non-negative, got {k}")
-    if k > order:
-        raise DtmError(f"monomial degree {k} exceeds order {order}")
+    Spectrum2D(order)  # refuses a bad order before the index is compared with it
+    _check_index(k, 0, order)
     table: dict[tuple[int, int], Fraction] = {}
     for n in range(order - k + 1):
         value = a**n / math.factorial(n)

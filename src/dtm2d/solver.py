@@ -46,7 +46,7 @@ from . import verify
 # Unused here; kept importable because perfbench/tracer.py wraps these names.
 from .rules import dt_add, dt_derivative  # noqa: F401
 from .spectrum import truncate  # noqa: F401
-from .spectrum import CoeffLike, DtmError, Spectrum2D, as_coeff, to_float
+from .spectrum import CoeffLike, DtmError, Spectrum2D, _check_index, as_coeff, to_float
 from .taylor import _SERIES, FuncSpec, _trace_rounding, taylor_coeffs, trace_value
 
 EDGES = ("x=0", "x=pi", "y=0", "y=pi")
@@ -63,8 +63,6 @@ MIN_WORKING_ORDER = 44
 # Largest working order whose float closure weights (_match_tables) are all
 # finite; from 499 the largest, C(W, 2k) pi**2k and kin, overflow.
 MAX_WORKING_ORDER = 498
-
-_E_PI_BELOW = Fraction("8.539734222673567")  # e*pi = 8.5397342226735670654...
 
 RESIDUAL_ERROR = 1e-6
 RESIDUAL_WARN = 1e-9
@@ -211,10 +209,7 @@ def propagate_closed_form(seed: CauchySeed, m: int, n: int) -> Fraction:
     Must agree entrywise with :func:`propagate`; kept independent of it so
     each checks the other.
     """
-    if m < 0 or n < 0:
-        raise DtmError(f"negative index ({m},{n})")
-    if m + n > seed.order:
-        raise DtmError(f"index ({m},{n}) exceeds order {seed.order}")
+    _check_index(m, n, seed.order)
     if seed.axis == MARCH_IN_M:
         m, n = n, m
     if n % 2 == 0:
@@ -675,11 +670,9 @@ def _working_order(bc: BoundarySpec, order: int) -> int:
     cosh or exp of nonzero amplitude); a zero or polynomial term has no tail.
 
     An order above MAX_WORKING_ORDER gets :func:`infer_missing_seed`'s
-    refusal first.  No w with w + 1 <= e*pi*c meets the target (there the
-    tail is at least 1 / (e sqrt(w + 1)) by Stirling), so the search starts
-    just below e*pi*c, at most at MAX_WORKING_ORDER, and steps up to it.  A
-    scale still unresolved there raises DtmError naming c: no order can be
-    solved at it."""
+    refusal first.  The search starts at max(order, MIN_WORKING_ORDER) and
+    steps up to MAX_WORKING_ORDER at most; a scale still unresolved there
+    raises DtmError naming c: no order can be solved at it."""
 
     def log_tail(scale, w):
         return (w + 1) * math.log(scale * math.pi) - math.lgamma(w + 2)
@@ -695,7 +688,6 @@ def _working_order(bc: BoundarySpec, order: int) -> int:
     working = max(order, MIN_WORKING_ORDER)
     _check_working_order(working)
     if c > 2:
-        working = max(working, min(math.ceil(_E_PI_BELOW * c) - 2, MAX_WORKING_ORDER))
         scale, target = to_float(*c.as_integer_ratio()), log_tail(2, MIN_WORKING_ORDER)
         while log_tail(scale, working) > target:
             if working == MAX_WORKING_ORDER:
@@ -806,10 +798,9 @@ def solve_model(
     """Solve one model in two stages: :func:`_seed` infers both seed layers at
     the working order and makes every refusal of the data; :func:`_report`
     marches them to ``order`` and verifies the spectrum.  A ``grid`` or
-    ``boundary_samples`` that is a bool or not an integer is refused first."""
+    ``boundary_samples`` that :func:`verify._check_count` refuses is refused first."""
     for name, count in (("grid", grid), ("boundary_samples", boundary_samples)):
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise DtmError(f"{name} must be an integer, got {count!r}")
+        verify._check_count(name, count)
     seeded = _seed(bc, order, origin_value, reference)
     return _report(bc, seeded, order, model_id, reference, grid, boundary_samples)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 CoeffLike = Union[Fraction, int, str]
 
@@ -97,8 +97,7 @@ class Spectrum2D:
 
     def get(self, m: int, n: int) -> Fraction:
         """Coefficient at (m, n); zero when absent or outside the triangle."""
-        if m < 0 or n < 0:
-            raise DtmError(f"negative index ({m},{n})")
+        _check_index(m, n)
         return self.entries.get((m, n), Fraction(0))
 
     def is_zero(self) -> bool:
@@ -116,26 +115,31 @@ class Spectrum2D:
         return f"Spectrum2D(order={self.order}, {{{body}}})"
 
 
+def _check_index(m: int, n: int, order: Optional[int] = None) -> None:
+    """Raise DtmError unless m and n are non-negative integers, not bools,
+    with m + n <= order when an order is given (one already checked)."""
+    if any(isinstance(i, bool) or not isinstance(i, int) for i in (m, n)):
+        raise DtmError(f"index ({m!r},{n!r}) is not a pair of integers")
+    if m < 0 or n < 0:
+        raise DtmError(f"negative index ({m},{n})")
+    if order is not None and m + n > order:
+        raise DtmError(f"index ({m},{n}) exceeds order {order}")
+
+
 def make_spectrum(
     order: int,
     entries: Iterable[tuple[int, int, CoeffLike]] = (),
 ) -> Spectrum2D:
     """Build a canonical sparse spectrum from (m, n, coefficient) triples.
 
-    Rejects a bad order (as :class:`Spectrum2D` does), an index that is a
-    bool, not an integer or negative, duplicate keys and entries beyond the
-    triangle; drops zeros.
+    Rejects a bad order (as :class:`Spectrum2D` does), a bad index (as
+    :func:`_check_index` does) and duplicate keys; drops zeros.
     """
     Spectrum2D(order)  # refuses a bad order before any index is compared with it
     table: dict[tuple[int, int], Fraction] = {}
     seen: set[tuple[int, int]] = set()
     for m, n, raw in entries:
-        if any(isinstance(i, bool) or not isinstance(i, int) for i in (m, n)):
-            raise DtmError(f"index ({m!r},{n!r}) is not a pair of integers")
-        if m < 0 or n < 0:
-            raise DtmError(f"negative index ({m},{n})")
-        if m + n > order:
-            raise DtmError(f"entry ({m},{n}) exceeds order {order}")
+        _check_index(m, n, order)
         if (m, n) in seen:
             raise DtmError(f"duplicate entry ({m},{n})")
         seen.add((m, n))
@@ -147,10 +151,9 @@ def make_spectrum(
 
 def truncate(s: Spectrum2D, new_order: int) -> Spectrum2D:
     """Drop entries with m + n > new_order; kept entries are bit-identical."""
-    if new_order < 0 or new_order > s.order:
-        raise DtmError(
-            f"truncation order {new_order} outside [0, {s.order}]"
-        )
+    Spectrum2D(new_order)  # refuses a bad order before it is compared with s's
+    if new_order > s.order:
+        raise DtmError(f"truncation order {new_order} outside [0, {s.order}]")
     kept = {k: v for k, v in s.entries.items() if k[0] + k[1] <= new_order}
     return Spectrum2D(new_order, entries=kept)
 

@@ -13,7 +13,7 @@ and the float layer resolves it as ``trace_value(token, pi)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -43,7 +43,7 @@ class FuncSpec:
     ``sym_amp`` multiplies the whole term by a constant that the exact layer
     keeps symbolic: None or a token, a :data:`TOKEN_KINDS` trace of amplitude
     1 standing for its value at t = pi.  A sum of terms is expressed with
-    ``terms`` set and all other fields at their defaults.
+    ``terms`` set and every other field at its default, or it is refused.
     """
 
     kind: str = "zero"
@@ -57,6 +57,9 @@ class FuncSpec:
         if self.terms is not None:
             if not self.terms:
                 raise DtmError("sum trace needs at least one term")
+            for f in fields(self):
+                if f.name != "terms" and getattr(self, f.name) != f.default:
+                    raise DtmError(f"a sum trace takes terms alone; its {f.name} is set")
             for t in self.terms:
                 if t.terms is not None:
                     raise DtmError("nested sum traces are not supported")
@@ -136,8 +139,7 @@ def taylor_coeffs(f: FuncSpec, order: int) -> list[Fraction]:
     a symbolic amplitude are rejected: the exact layer never multiplies
     tokens into rationals.
     """
-    if order < 0:
-        raise DtmError(f"order must be non-negative, got {order}")
+    Spectrum2D(order)  # refuses a bool, non-integer or negative order
     out = [Fraction(0)] * (order + 1)
     for term in f.flat_terms():
         if term.sym_amp is not None:
@@ -234,6 +236,7 @@ def outer_product(
     f_coeffs: Sequence[CoeffLike], g_coeffs: Sequence[CoeffLike], order: int
 ) -> Spectrum2D:
     """Rank-one spectrum U(m, n) = F(m) G(n) over the triangle m + n <= order."""
+    Spectrum2D(order)  # refuses a bad order before it is compared with the lengths
     if len(f_coeffs) < order + 1 or len(g_coeffs) < order + 1:
         raise DtmError(
             f"need at least {order + 1} coefficients per factor, got "

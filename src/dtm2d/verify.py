@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-# Unused here; kept importable because perfbench/tracer.py wraps this name.
-from .rules import dt_derivative  # noqa: F401
+# dt_derivative is unused here; kept importable because perfbench/tracer.py wraps it.
+from .rules import _check_compatible, dt_derivative  # noqa: F401
 from .spectrum import DtmError, Spectrum2D, to_float
 from .taylor import FuncSpec, trace_value
 
@@ -53,6 +53,12 @@ class ReferenceSolution:
              FuncSpec(kind=g, arg_scale=ky or 1))
             for sign, a, f, kx, g, ky in _TERM.findall(self.descriptor)
         ))
+
+
+def _check_count(name: str, count: int) -> None:
+    """Raise DtmError unless a number of grid or sample points is an int, not a bool, >= 2."""
+    if isinstance(count, bool) or not isinstance(count, int) or count < 2:
+        raise DtmError(f"{name} must be an integer, got {count!r}; at least 2 points are needed")
 
 
 def _stride(items: list, exact: bool) -> tuple[list, list]:
@@ -129,15 +135,20 @@ def _row_sums(projection: tuple[list, list], y: float) -> tuple[list[float], lis
     return [_horner(row, y) for row in pairs], [_horner(row, y) for row in singles]
 
 
+def _projection(s: Spectrum2D, r: int = 0, q: int = 0) -> tuple[list, list]:
+    """s's (r, q) :func:`_project`, built once per spectrum and kept in ``s.memo``."""
+    if (r, q) not in s.memo:
+        s.memo[r, q] = _project(s, r, q)
+    return s.memo[r, q]
+
+
 def _shared_sums(s: Spectrum2D, r: int, q: int, y: float) -> tuple[list[float], list[float]]:
-    """:func:`_row_sums` of s's (r, q) projection at y, each projection and
-    each pass run once per spectrum, whichever check asks first, and kept in
-    ``s.memo`` (keyed by y's bits, so -0.0 and 0.0 stay apart)."""
+    """:func:`_row_sums` of s's (r, q) projection at y, each pass run once
+    per spectrum, whichever check asks first, and kept in ``s.memo`` (keyed
+    by y's bits, so -0.0 and 0.0 stay apart)."""
     key = r, q, y.hex()
     if key not in s.memo:
-        if (r, q) not in s.memo:
-            s.memo[r, q] = _project(s, r, q)
-        s.memo[key] = _row_sums(s.memo[r, q], y)
+        s.memo[key] = _row_sums(_projection(s, r, q), y)
     return s.memo[key]
 
 
@@ -147,13 +158,14 @@ def eval_grid(
     """Evaluate the truncated double series on the tensor grid xs x ys.
 
     Returns ``values`` with ``values[i][j]`` the series at ``(xs[i], ys[j])``.
-    The stored entries are projected to trimmed float rows once.  For each y,
-    every row m is summed by Horner over n once; for each x, Horner over m
-    then runs across those row values, both with the stride-2 steps of
-    :func:`_horner`.  This summation order is fixed, so every value is
-    bit-identical across runs, grid shapes and call sites.
+    The stored entries are projected to trimmed float rows once per spectrum
+    (:func:`_projection`).  For each y, every row m is summed by Horner over
+    n once, unmemoised; for each x, Horner over m then runs across those row
+    values, both with the stride-2 steps of :func:`_horner`.  This summation
+    order is fixed, so every value is bit-identical across runs, grid shapes
+    and call sites.
     """
-    projection = _project(s)
+    projection = _projection(s)
     sums = [_row_sums(projection, y) for y in ys]
     return [[_horner(row, x) for row in sums] for x in xs]
 
@@ -187,8 +199,7 @@ def boundary_residual(
     :func:`compare_closed_form` (values as :func:`eval_grid`'s, bit for
     bit).  ``samples`` equally spaced points per edge, endpoints included.
     """
-    if samples < 2:
-        raise DtmError(f"need at least 2 samples per edge, got {samples}")
+    _check_count("samples", samples)
     ts = [i * math.pi / (samples - 1) for i in range(samples)]
     out: dict[str, float] = {}
     for cond in bc.conditions:
@@ -213,8 +224,7 @@ def compare_closed_form(s: Spectrum2D, ref: ReferenceSolution, grid: int) -> flo
     series values are :func:`eval_grid`'s, bit for bit, from the row sums
     shared with :func:`boundary_residual` (by default the 21 grid y are 21
     of the 41 edge samples)."""
-    if grid < 2:
-        raise DtmError(f"uniform grid needs k >= 2, got {grid}")
+    _check_count("grid", grid)
     points = [i * math.pi / (grid - 1) for i in range(grid)]
     sums = [_shared_sums(s, 0, 0, y) for y in points]
     values = [[_horner(row, x) for row in sums] for x in points]
@@ -237,8 +247,7 @@ def spectrum_diff(
 
     Returns (max-abs rational difference, sorted differing keys).
     """
-    if u.order != v.order:
-        raise DtmError(f"order mismatch: {u.order} vs {v.order}")
+    _check_compatible(u, v)
     keys = set(u.entries) | set(v.entries)
     worst = Fraction(0)
     differing: list[tuple[int, int]] = []

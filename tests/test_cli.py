@@ -533,14 +533,21 @@ class TestConfigHandling:
         assert status == 1
         assert "no model" in err
 
-    def test_run_config_validation(self):
+    def test_run_config_validation(self, capsys, monkeypatch):
         model = model_catalog()["example1"]
         with pytest.raises(ConfigError):
             RunConfig(model=model, order=8, output_format="yaml")
         with pytest.raises(ConfigError):
             RunConfig(model=model, order=8, convergence_orders=(12, 12))
-        with pytest.raises(ConfigError):
-            RunConfig(model=model, order=8, grid=1)
+
+        # a 1x1 grid is refused by the library's count rule, before inference
+        def no_inference(*args):
+            raise AssertionError("inference entered")
+
+        monkeypatch.setattr("dtm2d.solver.infer_missing_seed", no_inference)
+        status, out, err = run_cli(capsys, ["solve", "--example", "1", "--order", "8", "--grid", "1"])
+        assert (status, out) == (1, "")
+        assert "grid" in err
 
     def test_bad_grid_argument(self, capsys):
         status, _, err = run_cli(

@@ -234,3 +234,60 @@ class TestSerialization:
         for entry in ((0.5, 0, 1), (True, 1, 2)):
             with pytest.raises(DtmError, match="not a pair of integers"):
                 make_spectrum(2, [entry])
+
+
+def _hostile_slots():
+    """(slot name, call taking the hostile value, the over-the-range value)
+    for every order, index and count slot of the library's entry points.
+    An order or index slot's over-the-range value leaves the triangle; a
+    count slot's is 1, one point short of an interval's two ends."""
+    import dtm2d
+
+    s = make_spectrum(3, [(1, 1, 1)])
+    seed = dtm2d.CauchySeed(dtm2d.MARCH_IN_N, 3, (0, 1, 0, 0), (1, 0, 0, 0))
+    model = dtm2d.model_catalog()["example1"]
+    f = [1, 1, 1, 1]
+    return [
+        ("taylor_coeffs.order", lambda v: dtm2d.taylor_coeffs(dtm2d.FuncSpec(kind="sin"), v),
+         None),
+        ("outer_product.order", lambda v: dtm2d.outer_product(f, f, v), 4),
+        ("truncate.new_order", lambda v: truncate(s, v), 4),
+        ("make_spectrum.order", lambda v: make_spectrum(v, [(1, 1, 1)]), 1),
+        ("make_spectrum.m", lambda v: make_spectrum(3, [(v, 0, 1)]), 4),
+        ("make_spectrum.n", lambda v: make_spectrum(3, [(0, v, 1)]), 4),
+        ("dt_derivative.r", lambda v: dtm2d.dt_derivative(s, v, 0), 4),
+        ("dt_derivative.s", lambda v: dtm2d.dt_derivative(s, 0, v), 4),
+        ("dt_monomial.k", lambda v: dtm2d.dt_monomial(v, 1, 3), 3),
+        ("dt_monomial.h", lambda v: dtm2d.dt_monomial(1, v, 3), 3),
+        ("dt_monomial.order", lambda v: dtm2d.dt_monomial(1, 1, v), 1),
+        ("dt_monomial_exp.k", lambda v: dtm2d.dt_monomial_exp(v, 2, 3), 4),
+        ("dt_monomial_exp.order", lambda v: dtm2d.dt_monomial_exp(1, 2, v), 0),
+        ("propagate_closed_form.m", lambda v: dtm2d.propagate_closed_form(seed, v, 0), 4),
+        ("propagate_closed_form.n", lambda v: dtm2d.propagate_closed_form(seed, 0, v), 4),
+        ("boundary_residual.samples", lambda v: dtm2d.boundary_residual(s, model.bc, v), 1),
+        ("compare_closed_form.grid",
+         lambda v: dtm2d.compare_closed_form(s, model.reference, v), 1),
+        ("solve_model.grid", lambda v: dtm2d.solve_model(
+            model.bc, 8, reference=model.reference, grid=v), 1),
+        ("solve_model.grid_no_reference", lambda v: dtm2d.solve_model(model.bc, 8, grid=v), 1),
+        ("solve_model.boundary_samples",
+         lambda v: dtm2d.solve_model(model.bc, 8, boundary_samples=v), 1),
+    ]
+
+
+@pytest.mark.parametrize("slot, value", [
+    pytest.param(slot, value, id=f"{slot}={value!r}") for slot, _, over in _hostile_slots()
+    for value in (True, 1.5, "3", -1) + (() if over is None else (over,))
+])
+def test_hostile_input_refused_with_dtm_error(slot, value, monkeypatch):
+    # each rule is written once: orders through Spectrum2D, indices through
+    # spectrum._check_index, counts through verify._check_count; before
+    # them, several of these raised TypeError, returned a spectrum keyed by
+    # a float or a bool, or refused a count only after a whole inference
+    def no_inference(*args):
+        raise AssertionError("inference entered")
+
+    monkeypatch.setattr("dtm2d.solver.infer_missing_seed", no_inference)
+    call = {name: call for name, call, _ in _hostile_slots()}[slot]
+    with pytest.raises(DtmError):
+        call(value)

@@ -321,6 +321,18 @@ class TestValidationAndJson:
             with pytest.raises(DtmError, match='"kind": "sinh", "arg_scale": "2"'):
                 make()
 
+    @pytest.mark.parametrize("field, value", [
+        ("kind", "sin"), ("amplitude", 5), ("arg_scale", 2),
+        ("sym_amp", FuncSpec(kind="sinh")), ("poly_coeffs", (1,)),
+    ])
+    def test_sum_refuses_other_fields(self, field, value):
+        # these once built, and flat_terms() then ignored the field
+        with pytest.raises(DtmError, match=f"takes terms alone; its {field} is set"):
+            FuncSpec(terms=(FuncSpec(kind="cos"),), **{field: value})
+        # fields left at their defaults, spelled or not, build the same sum
+        assert FuncSpec(kind="zero", arg_scale=1, terms=(FuncSpec(kind="cos"),)) == FuncSpec(
+            terms=(FuncSpec(kind="cos"),))
+
     def test_is_zero(self):
         assert FuncSpec(kind="zero").is_zero()
         assert FuncSpec(kind="sin", amplitude=0).is_zero()

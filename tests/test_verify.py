@@ -375,6 +375,23 @@ class TestSharedEvaluation:
         assert len(summed) == passes
         assert report.closed_form_error < 1e-8
 
+    def test_eval2d_reads_the_memoised_projection(self, monkeypatch):
+        # eval2d once built the whole projection again at every point
+        import dtm2d.verify
+
+        project, projected = dtm2d.verify._project, []
+
+        def counting_project(s, r=0, q=0):
+            projected.append((r, q))
+            return project(s, r, q)
+
+        s = fresh(solve_example(1, 36).spectrum)
+        monkeypatch.setattr(dtm2d.verify, "_project", counting_project)
+        values = [eval2d(s, x, y) for x, y in ((0.5, 1.5), (2.0, 0.25))]
+        assert projected == [(0, 0)]
+        assert list(s.memo) == [(0, 0)]  # row sums are not kept
+        assert values == [horner_point(s, x, y) for x, y in ((0.5, 1.5), (2.0, 0.25))]
+
     def test_memo_is_not_part_of_the_value(self):
         s = solve_example(1, 12).spectrum
         assert s.memo
@@ -496,7 +513,7 @@ class TestGridAndReference:
     def test_grid_validation(self):
         s, ref = make_spectrum(4), ReferenceSolution("sinh(x)*cos(y)")
         for k in (1, 0, -3):
-            with pytest.raises(DtmError, match="k >= 2"):
+            with pytest.raises(DtmError, match="grid must be an integer, got .*at least 2"):
                 compare_closed_form(s, ref, k)
 
     def test_reference_values(self):
