@@ -52,8 +52,14 @@ from .taylor import _SERIES, FuncSpec, _trace_rounding, taylor_coeffs, trace_val
 EDGES = ("x=0", "x=pi", "y=0", "y=pi")
 BC_KINDS = ("dirichlet", "neumann")
 
-MARCH_IN_N = "march-in-n"  # seed rows n = 0, 1; closure edge y = pi
-MARCH_IN_M = "march-in-m"  # seed columns m = 0, 1; closure edge x = pi
+MARCH_IN_N = "march-in-n"
+MARCH_IN_M = "march-in-m"
+# Per marching axis: the seed edge, the closure edge opposite it, the other
+# edge through the origin, and the first-order entry a Neumann closure cannot see.
+_AXES = {
+    MARCH_IN_N: ("y=0", "y=pi", "x=0", "U(1,0)"),
+    MARCH_IN_M: ("x=0", "x=pi", "y=0", "U(0,1)"),
+}
 
 # Working order floor for solve_model's seed inference.  The catalog closure
 # series have argument scales up to 2, and (2*pi)**45 / 45! ~ 7e-21 keeps the
@@ -147,7 +153,7 @@ class CauchySeed:
     layer1: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.axis not in (MARCH_IN_N, MARCH_IN_M):
+        if self.axis not in tuple(_AXES):  # a tuple: an unhashable axis is refused too
             raise DtmError(f"unknown marching axis {self.axis!r}")
         Spectrum2D(self.order)  # refuses a bool, non-integer or negative order
         for name, layer in (("layer0", self.layer0), ("layer1", self.layer1)):
@@ -522,10 +528,11 @@ def infer_missing_seed(
 
     The float route runs only when the exact route finds the data inconsistent.
     """
-    if known_layer_index not in (0, 1):
+    if type(known_layer_index) is not int or known_layer_index not in (0, 1):
         raise DtmError(f"known_layer_index must be 0 or 1, got {known_layer_index}")
-    if closure_edge.edge not in ("y=pi", "x=pi"):
-        raise DtmError(f"closure edge must be y=pi or x=pi, got {closure_edge.edge}")
+    closures = [edges[1] for edges in _AXES.values()]
+    if closure_edge.edge not in closures:
+        raise DtmError(f"closure edge must be {' or '.join(closures)}, got {closure_edge.edge}")
     known = [as_coeff(c) for c in known_layer]
     order = len(known) - 1
     _check_working_order(order)
@@ -598,15 +605,10 @@ class Model:
 
 
 def _choose_axis(bc: BoundarySpec) -> str:
-    """March in n if y=0 carries nonzero data, else in m if x=0 does, else in n
-    if y=pi does, else in m."""
-    if not bc.on("y=0").trace.is_zero():
-        return MARCH_IN_N
-    if not bc.on("x=0").trace.is_zero():
-        return MARCH_IN_M
-    if not bc.on("y=pi").trace.is_zero():
-        return MARCH_IN_N
-    return MARCH_IN_M
+    """The first axis, n before m, whose seed edge carries nonzero data, else
+    the first whose closure edge does, else march-in-m."""
+    return next((axis for i in (0, 1) for axis, edges in _AXES.items()
+                 if not bc.on(edges[i]).trace.is_zero()), MARCH_IN_M)
 
 
 # Each corner of the square and the two edges through it, with the point of
@@ -706,8 +708,8 @@ def _seed(bc, order, origin_value=None, reference=None) -> tuple[CauchySeed, Inf
     ``warning``.  Past its own check, ``order`` is read only through
     :func:`_working_order`, so every order with the same W gets the same seed.
 
-    The seed edge (y=0 or x=0, by marching axis) must have an exact trace;
-    the opposite edge closes the problem through :func:`infer_missing_seed`.
+    The marching axis's seed edge (:data:`_AXES`) must have an exact trace;
+    its closure edge closes the problem through :func:`infer_missing_seed`.
     Every constant of the data and of ``reference`` must have a finite float,
     or :func:`_check_float_range` raises first; adjacent Dirichlet traces must
     agree at their shared corner, or :func:`_check_corners` raises before
@@ -715,15 +717,14 @@ def _seed(bc, order, origin_value=None, reference=None) -> tuple[CauchySeed, Inf
     ``origin_value`` pins u at the expansion origin when the closure leaves
     that entry undetermined (the additive constant of all-Neumann data);
     when it is not given (None), that entry stays 0 and the warning says so.
-    The first-order entry it leaves undetermined, U(1, 0) or U(0, 1), is the
-    constant term of the Neumann trace on the edge through the origin across
-    the marching axis; without one it stays 0 and the warning says so.
+    The first-order entry it leaves undetermined is the constant term of the
+    Neumann trace on the axis's cross edge; without one it stays 0 and the
+    warning says so.
     """
     Spectrum2D(order)  # refuses a bool, non-integer or negative order
     _check_float_range(bc, reference)
     axis = _choose_axis(bc)
-    seed_edge = "y=0" if axis == MARCH_IN_N else "x=0"
-    closure_edge = "y=pi" if axis == MARCH_IN_N else "x=pi"
+    seed_edge, closure_edge, cross_edge, first_order_entry = _AXES[axis]
     seed_cond = bc.on(seed_edge)
     known_index = 0 if seed_cond.kind == "dirichlet" else 1
 
@@ -753,13 +754,12 @@ def _seed(bc, order, origin_value=None, reference=None) -> tuple[CauchySeed, Inf
         unknown[0] = as_coeff(origin_value)
     if known_index == 1 and 1 in inferred.undetermined:
         # A Neumann closure never sees the first-order entry at the origin.
-        cross = bc.on("x=0" if axis == MARCH_IN_N else "y=0")
+        cross = bc.on(cross_edge)
         exact = all(t.sym_amp is None for t in cross.trace.flat_terms())
         if cross.kind == "neumann" and exact:
             unknown[1] = taylor_coeffs(cross.trace, 0)[0]
         else:
-            entry = "U(1,0)" if axis == MARCH_IN_N else "U(0,1)"
-            notes.append(f"{entry} set to 0: {cross.edge} has no exact Neumann trace")
+            notes.append(f"{first_order_entry} set to 0: {cross.edge} has no exact Neumann trace")
     layers = (known, unknown) if known_index == 0 else (unknown, known)
     return CauchySeed(axis, working, *layers), replace(inferred, warning="; ".join(notes) or None)
 

@@ -66,9 +66,10 @@ def to_float(num: int, den: int) -> float:
 class Spectrum2D:
     """Triangular table of coefficients U(m, n) for m + n <= order.
 
-    Entries are stored sparsely; a missing key reads as zero and zero values
-    are never stored.  Instances are immutable values: the entries dict is
-    private to the instance and must not be mutated after construction.
+    Entries are stored sparsely, keyed by indices :func:`_check_index` accepts;
+    a missing key reads as zero and zero values are never stored.  Instances
+    are immutable values: the entries dict is private to the instance and must
+    not be mutated after construction.
     The expansion point is always (0, 0): ``origin`` stays the second field so
     that ``Spectrum2D(order, (0, 0), entries)`` builds, and any other value is
     refused.  ``memo`` is not part of the value: :mod:`dtm2d.verify` keeps the
@@ -85,15 +86,16 @@ class Spectrum2D:
             raise DtmError(f"order must be a non-negative integer, got {self.order!r}")
         if self.origin != (0, 0):
             raise DtmError(f"origin must be (0, 0), got {self.origin!r}")
-        for (m, n), value in self.entries.items():
-            if m < 0 or n < 0:
-                raise DtmError(f"negative index ({m},{n})")
-            if m + n > self.order:
-                raise DtmError(
-                    f"entry ({m},{n}) exceeds order {self.order}"
-                )
-            if not isinstance(value, Fraction) or value == 0:
-                raise DtmError(f"non-canonical entry at ({m},{n}): {value!r}")
+        try:
+            for (m, n), value in self.entries.items():
+                _check_index(m, n, self.order)
+                if not isinstance(value, Fraction) or value == 0:
+                    raise DtmError(f"non-canonical entry at ({m},{n}): {value!r}")
+        except DtmError:
+            raise
+        except (TypeError, ValueError):  # a key that does not unpack as (m, n)
+            key = next(k for k in self.entries if type(k) is not tuple or len(k) != 2)
+            raise DtmError(f"index {key!r} is not a pair of integers") from None
 
     def get(self, m: int, n: int) -> Fraction:
         """Coefficient at (m, n); zero when absent or outside the triangle."""
@@ -116,9 +118,10 @@ class Spectrum2D:
 
 
 def _check_index(m: int, n: int, order: Optional[int] = None) -> None:
-    """Raise DtmError unless m and n are non-negative integers, not bools,
-    with m + n <= order when an order is given (one already checked)."""
-    if any(isinstance(i, bool) or not isinstance(i, int) for i in (m, n)):
+    """Raise DtmError unless m and n are non-negative ints (not bools or any
+    other int subclass), with m + n <= order when an order is given (one
+    already checked)."""
+    if type(m) is not int or type(n) is not int:
         raise DtmError(f"index ({m!r},{n!r}) is not a pair of integers")
     if m < 0 or n < 0:
         raise DtmError(f"negative index ({m},{n})")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 # dt_derivative is unused here; kept importable because perfbench/tracer.py wraps it.
-from .rules import _check_compatible, dt_derivative  # noqa: F401
+from .rules import dt_derivative, dt_sub  # noqa: F401
 from .spectrum import DtmError, Spectrum2D, to_float
 from .taylor import FuncSpec, trace_value
 
@@ -243,17 +243,7 @@ def compare_closed_form(s: Spectrum2D, ref: ReferenceSolution, grid: int) -> flo
 def spectrum_diff(
     u: Spectrum2D, v: Spectrum2D
 ) -> tuple[Fraction, list[tuple[int, int]]]:
-    """Exact entrywise comparison over the union of supports.
-
-    Returns (max-abs rational difference, sorted differing keys).
-    """
-    _check_compatible(u, v)
-    keys = set(u.entries) | set(v.entries)
-    worst = Fraction(0)
-    differing: list[tuple[int, int]] = []
-    for key in sorted(keys):
-        delta = u.entries.get(key, Fraction(0)) - v.entries.get(key, Fraction(0))
-        if delta != 0:
-            differing.append(key)
-            worst = max(worst, abs(delta))
-    return worst, differing
+    """(max-abs rational difference, sorted differing keys) of the entrywise
+    difference :func:`~dtm2d.rules.dt_sub` forms; operands must share their order."""
+    d = dt_sub(u, v).entries
+    return max(map(abs, d.values()), default=Fraction(0)), sorted(d)

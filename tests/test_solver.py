@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import platform
@@ -42,10 +43,12 @@ from dtm2d import (
 )
 from dtm2d.solver import (
     BC_KINDS,
+    EDGES,
     MAX_WORKING_ORDER,
     MIN_WORKING_ORDER,
     ModelReport,
     _check_corners,
+    _choose_axis,
     _closure_targets,
     _edge_trace,
     _even_transfer,
@@ -804,6 +807,18 @@ class TestInferMissingSeed:
         expected = tuple(a + 6 * b for a, b in zip(sin_x, sin_6x))
         assert result.coeffs[:order] == expected[:order]
 
+    @pytest.mark.parametrize("index", [True, False, 1.0, "1", 2, -1], ids=repr)
+    def test_layer_index_is_an_int_zero_or_one(self, index, monkeypatch):
+        # True passed `in (0, 1)` and returned a layer; 1.0 passed it and then
+        # raised TypeError; each is refused before any inference
+        def no_inference(*args):
+            raise AssertionError("inference entered")
+
+        monkeypatch.setattr("dtm2d.solver._infer_exact", no_inference)
+        known, _ = _model_known("example1", 12)
+        with pytest.raises(DtmError, match="known_layer_index must be 0 or 1"):
+            infer_missing_seed(known, index, _model_closure("example1"))
+
     def test_residual_above_its_rounding_bound_warns(self, monkeypatch):
         monkeypatch.setattr("dtm2d.solver._match_residual", lambda *args: (5e-8, 1e-12))
         known, known_index = _model_known("example1", 44)
@@ -1318,6 +1333,28 @@ def _report_fields(report):
             return [(k, value(x)) for k, x in v.items()]
         return v
     return [(f.name, value(getattr(report, f.name))) for f in fields(ModelReport)]
+
+
+class TestMarchingAxis:
+    @staticmethod
+    def four_branch_rule(bc):
+        """_choose_axis as it was written out, one branch per edge."""
+        if not bc.on("y=0").trace.is_zero():
+            return MARCH_IN_N
+        if not bc.on("x=0").trace.is_zero():
+            return MARCH_IN_M
+        if not bc.on("y=pi").trace.is_zero():
+            return MARCH_IN_N
+        return MARCH_IN_M
+
+    @pytest.mark.parametrize("nonzero", list(itertools.product((False, True), repeat=4)),
+                             ids=lambda p: "".join("1" if b else "0" for b in p))
+    def test_choose_axis_equals_the_four_branch_rule(self, nonzero):
+        bc = BoundarySpec(tuple(
+            EdgeCondition(edge, "dirichlet", FuncSpec(kind="sin" if on else "zero"))
+            for edge, on in zip(EDGES, nonzero)
+        ))
+        assert _choose_axis(bc) == self.four_branch_rule(bc)
 
 
 class TestSolveStages:

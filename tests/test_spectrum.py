@@ -291,3 +291,24 @@ def test_hostile_input_refused_with_dtm_error(slot, value, monkeypatch):
     call = {name: call for name, call, _ in _hostile_slots()}[slot]
     with pytest.raises(DtmError):
         call(value)
+
+
+_HOSTILE_KEYS = (  # (key, refusal) at order 3
+    ((True, 0), "is not a pair of integers"),
+    ((1.5, 0), "is not a pair of integers"),
+    ((0, -1), "negative index"),
+    ((2, 2), r"index \(2,2\) exceeds order 3"),
+    (1, "index 1 is not a pair of integers"),
+    ((1, 2, 3), r"index \(1, 2, 3\) is not a pair of integers"),
+)
+
+
+@pytest.mark.parametrize("key, message", [
+    pytest.param(key, message, id=repr(key)) for key, message in _HOSTILE_KEYS
+])
+def test_hostile_key_refused_with_dtm_error(key, message):
+    # Spectrum2D checks every key with the index rule, spectrum._check_index;
+    # its own copy let a bool or a float key build, and a key that is not a
+    # pair raised TypeError or a bare ValueError
+    with pytest.raises(DtmError, match=message):
+        Spectrum2D(3, entries={(0, 0): Fraction(1), key: Fraction(2)})

@@ -41,6 +41,7 @@ from conftest import (
     formula_example1,
     formula_example2,
     small_fractions,
+    spectrum_pairs,
 )
 
 fact = math.factorial
@@ -476,6 +477,35 @@ class TestSpectrumDiff:
     def test_order_mismatch(self):
         with pytest.raises(DtmError):
             spectrum_diff(make_spectrum(2), make_spectrum(3))
+
+    def test_order_mismatch_message_is_dt_adds(self):
+        with pytest.raises(DtmError, match="^order mismatch: 2 vs 3$"):
+            spectrum_diff(make_spectrum(2), make_spectrum(3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(spectrum_pairs(), st.booleans())
+    def test_equals_the_key_union_loop(self, pair, share_entries):
+        # spectrum_diff reads dt_sub's difference; its former own loop over
+        # the union of supports is the reference
+        u, v = pair
+        if share_entries:  # u's entries that v lacks cancel, so their keys drop out
+            merged = {**u.entries, **v.entries}
+            v = make_spectrum(v.order, [(m, n, c) for (m, n), c in merged.items()])
+
+        def key_union_diff(u, v):
+            keys = set(u.entries) | set(v.entries)
+            worst = Fraction(0)
+            differing = []
+            for key in sorted(keys):
+                delta = u.entries.get(key, Fraction(0)) - v.entries.get(key, Fraction(0))
+                if delta != 0:
+                    differing.append(key)
+                    worst = max(worst, abs(delta))
+            return worst, differing
+
+        worst, differing = spectrum_diff(u, v)
+        assert (worst, differing) == key_union_diff(u, v)
+        assert type(worst) is Fraction
 
 
 class TestDerivativeEvalConsistency:
